@@ -3,10 +3,10 @@
 
 /// Public storage surface: block devices (file-backed, in-memory, throttled
 /// disk simulation, fault injection), typed data files, the striped
-/// multi-disk file format, the `RunProvider`/`RunSource` backend abstraction,
-/// and temp-dir helpers. Most users never touch these directly —
-/// `opaq::Source` (opaq/source.h) wraps them — but systems embedding OPAQ on
-/// their own storage implement `RunProvider` from here.
+/// multi-disk file format, the `RunProvider`/`RunSource` backend abstraction
+/// with its one `RunPipeline`, and temp-dir helpers. Most users never touch
+/// these directly — `opaq::Source` (opaq/source.h) wraps them — but systems
+/// embedding OPAQ on their own storage implement `RunProvider` from here.
 
 #include "io/async_run_reader.h"
 #include "io/block_device.h"
@@ -14,6 +14,7 @@
 #include "io/data_file.h"
 #include "io/extent.h"
 #include "io/faulty_device.h"
+#include "io/run_pipeline.h"
 #include "io/run_reader.h"
 #include "io/striped_data_file.h"
 #include "io/striped_run_source.h"

@@ -8,10 +8,9 @@
 ///  - `NodeServer` (net/node_server.h) — export local `TypedDataFile` /
 ///    `StripedDataFile` datasets on a port; thread per connection, bounded
 ///    reads, error frames instead of crashes. `opaq_noded` is its CLI.
-///  - `RemoteRunProvider<K>` / `RemoteRunSource<K>`
-///    (net/remote_source.h) — the v1 client backend: pipelined
-///    request-ahead run streaming that overlaps network latency with
-///    compute exactly as async disk I/O does.
+///  - `RemoteRunProvider<K>` (net/remote_source.h) — the v1 client
+///    backend: pipelined request-ahead run streaming that overlaps network
+///    latency with compute exactly as async disk I/O does.
 ///  - `RemoteComputeClient<K>` (net/remote_compute.h) — the v2 client:
 ///    pushes the paper's sample phase (`SampleRuns`) and §4 filter scan
 ///    (`ExactPass`) to the node, shipping O(s) results instead of O(n)

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/estimator.h"
-#include "io/async_run_reader.h"
 #include "io/run_reader.h"
 #include "select/select.h"
 #include "util/random.h"
@@ -164,36 +163,6 @@ Result<K> ExactQuantileSecondPass(const RunProvider<K>& provider,
       memory_budget_elements);
   if (!values.ok()) return values.status();
   return (*values)[0];
-}
-
-/// Deprecated back-compat wrapper: synchronous scan of one plain data file.
-template <typename K>
-[[deprecated(
-    "wrap the file in a FileRunProvider (or opaq::Source) and call the "
-    "RunProvider overload")]]
-Result<K> ExactQuantileSecondPass(const TypedDataFile<K>* file,
-                                  const QuantileEstimate<K>& estimate,
-                                  uint64_t run_size,
-                                  uint64_t memory_budget_elements = 0) {
-  ReadOptions options;
-  options.run_size = run_size;
-  return ExactQuantileSecondPass(FileRunProvider<K>(file), estimate, options,
-                                 memory_budget_elements);
-}
-
-/// Deprecated back-compat wrapper: synchronous scan of one plain data file.
-template <typename K>
-[[deprecated(
-    "wrap the file in a FileRunProvider (or opaq::Source) and call the "
-    "RunProvider overload")]]
-Result<std::vector<K>> ExactQuantilesSecondPass(
-    const TypedDataFile<K>* file,
-    const std::vector<QuantileEstimate<K>>& estimates, uint64_t run_size,
-    uint64_t memory_budget_elements = 0) {
-  ReadOptions options;
-  options.run_size = run_size;
-  return ExactQuantilesSecondPass(FileRunProvider<K>(file), estimates,
-                                  options, memory_budget_elements);
 }
 
 }  // namespace opaq

@@ -12,7 +12,6 @@
 #include "core/sample_list.h"
 #include "io/async_run_reader.h"
 #include "io/run_reader.h"
-#include "io/striped_run_source.h"
 #include "select/multi_select.h"
 #include "telemetry/trace.h"
 #include "util/random.h"
@@ -20,47 +19,6 @@
 #include "util/timer.h"
 
 namespace opaq {
-
-/// Builds the `RunSource` a config asks for over `[first, first + count)` of
-/// any storage backend — the single construction point for every
-/// config-driven consumer (sequential `Consume` and the parallel sample
-/// phase alike). The provider picks the reader matching `config.io_mode` for
-/// its own device layout (plain files: sync loop or prefetch thread; striped
-/// files: inline chunk reads or one thread per stripe; in-memory vectors:
-/// slicing).
-template <typename K>
-std::unique_ptr<RunSource<K>> MakeRunSource(const RunProvider<K>& provider,
-                                            const OpaqConfig& config,
-                                            uint64_t first = 0,
-                                            uint64_t count = UINT64_MAX) {
-  return provider.OpenRuns(config.read_options(), first, count);
-}
-
-/// Deprecated back-compat wrapper: plain single-device file.
-template <typename K>
-[[deprecated(
-    "wrap the file in a FileRunProvider (or opaq::Source) and call the "
-    "RunProvider overload")]]
-std::unique_ptr<RunSource<K>> MakeRunSource(const TypedDataFile<K>* file,
-                                            const OpaqConfig& config,
-                                            uint64_t first = 0,
-                                            uint64_t count = UINT64_MAX) {
-  return FileRunProvider<K>(file).OpenRuns(config.read_options(), first,
-                                           count);
-}
-
-/// Deprecated back-compat wrapper: striped multi-disk file.
-template <typename K>
-[[deprecated(
-    "wrap the file in a StripedFileProvider (or opaq::Source) and call the "
-    "RunProvider overload")]]
-std::unique_ptr<RunSource<K>> MakeRunSource(const StripedDataFile<K>* file,
-                                            const OpaqConfig& config,
-                                            uint64_t first = 0,
-                                            uint64_t count = UINT64_MAX) {
-  return StripedFileProvider<K>(file).OpenRuns(config.read_options(), first,
-                                               count);
-}
 
 /// The front door of the library: OPAQ's one-pass sample phase as a
 /// mergeable sketch.
@@ -95,24 +53,15 @@ class OpaqSketch {
 
   /// Samples one run. The buffer is consumed (rearranged by selection);
   /// pass by value and move in to make the cost explicit at call sites.
-  void AddRun(std::vector<K> run) {
-    OPAQ_CHECK_LE(run.size(), config_.run_size)
-        << "a run longer than config.run_size would break the error bounds";
-    if (run.empty()) return;
-    TraceSpan sample_span(TraceStage::kSample);
-    std::vector<K> samples = RegularSamplesBySubrunSize(
-        run.data(), run.size(), config_.subrun_size(),
-        config_.select_algorithm, rng_);
-    builder_.AddRunSamples(std::move(samples), run.size());
-  }
+  void AddRun(std::vector<K> run) { SampleRun(&run); }
 
   /// Streams every run of any storage backend through the sketch: the whole
   /// one-pass sample phase of Figure 1. Honors `config.io_mode`: kSync
-  /// alternates reads and sampling; kAsync prefetches runs on background
-  /// thread(s) — one for a plain file, one per stripe for a striped file —
-  /// so the disk(s) stay busy while the CPU selects samples. All backends
-  /// and modes produce bit-identical estimator state over the same logical
-  /// data.
+  /// alternates reads and sampling; kAsync prefetches up to
+  /// `config.prefetch_depth` runs on the backend's fetch thread(s) — one
+  /// per device — so the disk(s) stay busy while the CPU selects samples.
+  /// All backends and modes produce bit-identical estimator state over the
+  /// same logical data.
   ///
   /// `io_seconds`, when non-null, accumulates the wall time this thread
   /// spent waiting on reads (for the Table 11/12 breakdowns). Under kSync
@@ -125,29 +74,12 @@ class OpaqSketch {
     return ConsumeRuns(source.get(), io_seconds);
   }
 
-  /// Deprecated back-compat wrapper: plain single-device file.
-  [[deprecated(
-      "wrap the file in a FileRunProvider (or opaq::Source) and call "
-      "Consume")]]
-  Status ConsumeFile(const TypedDataFile<K>* file,
-                     double* io_seconds = nullptr) {
-    return Consume(FileRunProvider<K>(file), io_seconds);
-  }
-
-  /// Deprecated back-compat wrapper: striped multi-disk file.
-  [[deprecated(
-      "wrap the file in a StripedFileProvider (or opaq::Source) and call "
-      "Consume")]]
-  Status ConsumeFile(const StripedDataFile<K>* file,
-                     double* io_seconds = nullptr) {
-    return Consume(StripedFileProvider<K>(file), io_seconds);
-  }
-
   /// Same, over an explicit run source (sub-range of a file in the parallel
-  /// algorithm, or a caller-built sync/async reader).
+  /// algorithm, or a caller-built reader). One buffer serves every run: it
+  /// is sampled in place and handed back to `NextRun`, which refills it (or
+  /// recycles its storage into the prefetch threads).
   Status ConsumeRuns(RunSource<K>* reader, double* io_seconds = nullptr) {
     std::vector<K> buffer;
-    buffer.reserve(config_.run_size);
     while (true) {
       WallTimer io_timer;
       Result<bool> more = [&] {
@@ -157,9 +89,7 @@ class OpaqSketch {
       if (!more.ok()) return more.status();
       if (!*more) break;
       if (io_seconds != nullptr) *io_seconds += io_timer.ElapsedSeconds();
-      AddRun(std::move(buffer));
-      buffer = std::vector<K>();
-      buffer.reserve(config_.run_size);
+      SampleRun(&buffer);
     }
     return Status::OK();
   }
@@ -174,6 +104,18 @@ class OpaqSketch {
   }
 
  private:
+  /// Selects the run's regular samples in place (rearranging it).
+  void SampleRun(std::vector<K>* run) {
+    OPAQ_CHECK_LE(run->size(), config_.run_size)
+        << "a run longer than config.run_size would break the error bounds";
+    if (run->empty()) return;
+    TraceSpan sample_span(TraceStage::kSample);
+    std::vector<K> samples = RegularSamplesBySubrunSize(
+        run->data(), run->size(), config_.subrun_size(),
+        config_.select_algorithm, rng_);
+    builder_.AddRunSamples(std::move(samples), run->size());
+  }
+
   OpaqConfig config_;
   Xoshiro256 rng_;
   SampleListBuilder<K> builder_;

@@ -54,14 +54,11 @@ Status OpaqConfig::Validate(uint64_t n, uint64_t memory_budget_elements) const {
   }
   if (n > 0 && memory_budget_elements > 0) {
     const uint64_t runs = DivCeil(n, run_size);
-    // Async prefetching holds prefetch_depth extra run buffers beyond the
-    // one the sampler works on, so the §2.3 inequality charges them all.
-    // The striped backend keeps prefetch_depth chunks in flight PER STRIPE;
-    // the chunk size is a property of the file, not the config, so it is
-    // charged at the recommended chunk <= run_size layout (a larger chunk
-    // raises the true footprint beyond this estimate).
+    // Async prefetching holds up to prefetch_depth runs' worth of elements
+    // beyond the run the sampler works on, summed over every fetch thread
+    // of every backend, so the §2.3 inequality charges them all.
     const uint64_t buffers =
-        io_mode == IoMode::kAsync ? stripes * prefetch_depth + 1 : 1;
+        io_mode == IoMode::kAsync ? prefetch_depth + 1 : 1;
     const uint64_t needed = runs * samples_per_run + buffers * run_size;
     if (needed > memory_budget_elements) {
       std::ostringstream os;

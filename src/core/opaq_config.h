@@ -33,17 +33,18 @@ struct OpaqConfig {
   /// Seed for the (only) randomness: pivot choice in kIntroSelect.
   uint64_t seed = 1;
 
-  /// How `ConsumeFile` drives the disk: strict read/sample alternation
-  /// (kSync) or a background prefetch thread that overlaps the next run's
-  /// read with the current run's sampling (kAsync). The estimator state is
-  /// bit-identical either way; async only changes wall time.
+  /// How `Consume` drives the storage backend: strict read/sample
+  /// alternation (kSync) or fetch threads that read the next runs while the
+  /// current one is sampled (kAsync). The estimator state is bit-identical
+  /// either way; async only changes wall time.
   IoMode io_mode = IoMode::kSync;
 
-  /// Prefetch buffers when io_mode == kAsync (ignored for kSync). Raises
-  /// the §2.3 memory footprint from one run buffer to `prefetch_depth + 1`
-  /// of them; Validate() requires it in [1, kMaxPrefetchDepth]. For the
-  /// striped backend this counts chunks in flight per stripe instead.
-  uint64_t prefetch_depth = 2;
+  /// Runs' worth of elements the fetch threads may hold ahead of the
+  /// sampler when io_mode == kAsync (ignored for kSync), on every backend
+  /// (see ReadOptions::prefetch_depth). Raises the §2.3 memory footprint
+  /// from one run buffer to `prefetch_depth + 1` of them; Validate()
+  /// requires it in [1, kMaxPrefetchDepth].
+  uint64_t prefetch_depth = 1;
 
   /// Stripe count the workload expects of its striped storage backend
   /// (1 = plain single-device files). Only the CLI/bench layers consume it

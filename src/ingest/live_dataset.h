@@ -14,6 +14,7 @@
 #include "io/codec.h"
 #include "io/data_file.h"
 #include "io/extent.h"
+#include "io/run_pipeline.h"
 #include "io/run_reader.h"
 #include "util/status.h"
 
@@ -269,49 +270,6 @@ class LiveDataset {
   uint64_t total_ = 0;
 };
 
-/// Streams runs across segment boundaries: each segment's sub-range is
-/// served by that segment's own backend source, re-chunking at `run_size`
-/// from the segment's (sub-range) start — the append-stable run grid.
-/// Sticky: after any inner error every later NextRun returns it.
-template <typename K>
-class LiveRunSource : public RunSource<K> {
- public:
-  struct Span {
-    const RunProvider<K>* provider = nullptr;
-    uint64_t first = 0;  // element offset within the segment
-    uint64_t count = 0;
-  };
-
-  LiveRunSource(std::vector<Span> spans, const ReadOptions& options)
-      : spans_(std::move(spans)), options_(options) {}
-
-  Result<bool> NextRun(std::vector<K>* buffer) override {
-    buffer->clear();
-    if (!status_.ok()) return status_;
-    while (true) {
-      if (current_ == nullptr) {
-        if (next_span_ == spans_.size()) return false;
-        const Span& span = spans_[next_span_++];
-        current_ = span.provider->OpenRuns(options_, span.first, span.count);
-      }
-      auto more = current_->NextRun(buffer);
-      if (!more.ok()) {
-        status_ = more.status();
-        return status_;
-      }
-      if (*more) return true;
-      current_.reset();  // segment exhausted; move to the next
-    }
-  }
-
- private:
-  std::vector<Span> spans_;
-  ReadOptions options_;
-  size_t next_span_ = 0;
-  std::unique_ptr<RunSource<K>> current_;
-  Status status_;
-};
-
 /// Read snapshot of a live dataset: binds the durable record prefix found
 /// at Open (later appends are invisible — readers and the writer never
 /// share state) and serves it through the standard `RunProvider` seam, so
@@ -348,16 +306,12 @@ class LiveDatasetReader : public RunProvider<K> {
         auto file = ExtentFile::Open({segment->device.get()});
         if (!file.ok()) return file.status();
         segment->extent = std::make_unique<ExtentFile>(std::move(*file));
-        segment->provider =
-            std::make_unique<ExtentFileProvider<K>>(segment->extent.get());
         stored = segment->extent->size();
       } else {
         auto file = TypedDataFile<K>::Open(segment->device.get());
         if (!file.ok()) return file.status();
         segment->plain =
             std::make_unique<TypedDataFile<K>>(std::move(*file));
-        segment->provider =
-            std::make_unique<FileRunProvider<K>>(segment->plain.get());
         stored = segment->plain->size();
       }
       if (stored != record.element_count) {
@@ -384,17 +338,23 @@ class LiveDatasetReader : public RunProvider<K> {
     first = std::min(first, total_);
     count = std::min(count, total_ - first);
     const uint64_t end = first + count;
-    std::vector<typename LiveRunSource<K>::Span> spans;
+    // One span per segment: the run grid restarts at every segment start.
+    std::vector<BlockSpan<K>> spans;
     for (const auto& segment : segments_) {
       const uint64_t seg_end = segment->first + segment->count;
       if (seg_end <= first || segment->first >= end) continue;
-      typename LiveRunSource<K>::Span span;
-      span.provider = segment->provider.get();
-      span.first = std::max(first, segment->first) - segment->first;
-      span.count = std::min(end, seg_end) - (segment->first + span.first);
-      spans.push_back(span);
+      const uint64_t span_first =
+          std::max(first, segment->first) - segment->first;
+      const uint64_t span_count =
+          std::min(end, seg_end) - (segment->first + span_first);
+      spans.push_back(segment->plain != nullptr
+                          ? FileSpan(segment->plain.get(), span_first,
+                                     span_count)
+                          : ExtentSpan<K>(segment->extent.get(), span_first,
+                                          span_count,
+                                          options.verify_checksums));
     }
-    return std::make_unique<LiveRunSource<K>>(std::move(spans), options);
+    return std::make_unique<RunPipeline<K>>(std::move(spans), options);
   }
 
   /// Random-access read of `[first, first + count)` across segments (the
@@ -441,7 +401,6 @@ class LiveDatasetReader : public RunProvider<K> {
     std::unique_ptr<FileBlockDevice> device;
     std::unique_ptr<TypedDataFile<K>> plain;  // exactly one of plain/extent
     std::unique_ptr<ExtentFile> extent;
-    std::unique_ptr<RunProvider<K>> provider;
   };
 
   std::vector<std::unique_ptr<Segment>> segments_;

@@ -34,9 +34,9 @@ enum class ExtentCodec : uint16_t {
 inline constexpr size_t kNumExtentCodecs = 3;
 
 /// One compression algorithm, stateless and thread-safe: extent decode runs
-/// concurrently on the prefetch threads (async reader, stripe readers, the
-/// remote client's streaming thread), so implementations must not keep
-/// mutable state across calls.
+/// concurrently on the run pipeline's fetch threads (one per stripe, or the
+/// remote client's), so implementations must not keep mutable state across
+/// calls.
 class Codec {
  public:
   virtual ~Codec() = default;

@@ -10,26 +10,26 @@ namespace opaq {
 
 /// How a run consumer drives the disk. Kept in its own tiny header so that
 /// configuration code can name the mode without pulling in the threaded
-/// reader machinery (io/async_run_reader.h).
+/// reader machinery (io/run_pipeline.h).
 enum class IoMode {
   /// Strict alternation: read run m, then sample run m (the paper's
   /// single-threaded reading loop). Disk idles during selection.
   kSync,
-  /// Double-buffered prefetching: a background thread keeps reading ahead
-  /// while the consumer samples, overlapping I/O with compute. Byte-identical
+  /// Prefetching: fetch threads (one per device) keep reading ahead while
+  /// the consumer samples, overlapping I/O with compute. Byte-identical
   /// results — prefetching reorders time, never data.
   kAsync,
 };
 
-/// Upper bound on async prefetch depth: each buffer costs a full run of
-/// memory, and depths beyond a few only ever absorb compute burstiness, so
-/// anything huge is a configuration error (e.g. a negative flag value cast
-/// to uint64), not a tuning choice. Enforced both by `OpaqConfig::Validate`
-/// and by the `AsyncRunReader` constructor.
+/// Upper bound on `ReadOptions::prefetch_depth`: each unit of depth costs a
+/// full run of memory, and depths beyond a few only ever absorb compute
+/// burstiness, so anything huge is a configuration error (e.g. a negative
+/// flag value cast to uint64), not a tuning choice. Enforced both by
+/// `OpaqConfig::Validate` and by the `RunPipeline` constructor.
 inline constexpr uint64_t kMaxPrefetchDepth = 1024;
 
 /// Upper bound on the stripe count of a striped data file: the striped
-/// backend runs one reader thread per stripe, so anything huge is a
+/// backend runs one fetch thread per stripe, so anything huge is a
 /// configuration error (e.g. a negative flag value cast to uint64), not a
 /// real disk array. Enforced by `OpaqConfig::Validate` and by
 /// `StripedDataFile`.
@@ -45,15 +45,19 @@ inline constexpr uint64_t kMaxStripes = 64;
 inline constexpr uint64_t kMaxExtentBytes = 32u << 20;
 
 /// How a `RunProvider` should drive its device(s): the backend-independent
-/// subset of OpaqConfig that the io/ layer needs. For the plain-file
-/// backend `io_mode` picks the sync or prefetching reader and
-/// `prefetch_depth` counts run buffers in flight; for the striped backend
-/// kAsync means one reader thread per stripe and `prefetch_depth` counts
-/// chunks in flight per stripe.
+/// subset of OpaqConfig that the io/ layer needs, and the only reader
+/// configuration. Every backend reads through one `RunPipeline`, so each
+/// knob means the same thing on every backend.
 struct ReadOptions {
   uint64_t run_size = 1 << 20;
+  /// kSync fetches inline on the consumer's thread; kAsync runs the
+  /// backend's fetch threads (one per device) ahead of it.
   IoMode io_mode = IoMode::kSync;
-  uint64_t prefetch_depth = 2;
+  /// Under kAsync, how many runs' worth of elements the fetch threads may
+  /// hold fetched but not yet delivered, summed over all of them (a single
+  /// block larger than that is still fetched alone). 1 = classic double
+  /// buffering. Ignored under kSync.
+  uint64_t prefetch_depth = 1;
   /// Verify per-extent payload CRCs when the backend reads compressed
   /// extents (io/extent.h); uncompressed backends ignore it. Off buys a few
   /// percent of decode throughput at the cost of silent-corruption

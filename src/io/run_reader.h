@@ -13,10 +13,11 @@
 
 namespace opaq {
 
-/// Anything that yields the runs of a dataset in order. Both the synchronous
-/// `RunReader` and the prefetching `AsyncRunReader` implement this, so every
-/// run consumer (`OpaqSketch::ConsumeRuns`, the parallel sample phase) works
-/// against either I/O mode unchanged.
+/// Anything that yields the runs of a dataset in order: the `RunPipeline`
+/// every storage backend opens (sync or prefetching), the plain `RunReader`
+/// and the in-memory `VectorRunSource`. Every run consumer
+/// (`OpaqSketch::ConsumeRuns`, the parallel sample phase) works against any
+/// of them unchanged.
 template <typename K>
 class RunSource {
  public:
@@ -28,10 +29,10 @@ class RunSource {
 };
 
 /// A dataset that can hand out `RunSource`s: the storage-backend abstraction
-/// every run consumer is written against. Implementations: `FileRunProvider`
-/// (one plain data file, sync or prefetching readers) and
-/// `StripedFileProvider` (a dataset striped across several devices, one
-/// reader thread per stripe). Consumers that accept a provider — the sketch,
+/// every run consumer is written against. The file, striped, extent, remote
+/// and live backends each open a `RunPipeline` over their own
+/// `BlockFetcher`; `MemoryRunProvider` slices a vector. Consumers that
+/// accept a provider — the sketch,
 /// the exact second pass, the parallel harness — work on any backend
 /// unchanged, and every backend delivers the exact logical run order, so
 /// results are byte-identical across backends.

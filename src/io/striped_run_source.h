@@ -1,211 +1,36 @@
 #ifndef OPAQ_IO_STRIPED_RUN_SOURCE_H_
 #define OPAQ_IO_STRIPED_RUN_SOURCE_H_
 
-#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <thread>
-#include <utility>
 #include <vector>
 
+#include "io/run_pipeline.h"
 #include "io/run_reader.h"
 #include "io/striped_data_file.h"
-#include "parallel/channel.h"
 #include "util/status.h"
 
 namespace opaq {
 
-/// Knobs of the striped reader.
-struct StripedReaderOptions {
-  /// Chunks each stripe thread may read ahead of the consumer. Peak prefetch
-  /// memory is `num_stripes * prefetch_chunks * chunk_elements` elements on
-  /// top of the run being assembled.
-  uint64_t prefetch_chunks = 2;
-
-  /// When true (the default, and what `IoMode::kAsync` maps to) one reader
-  /// thread per stripe keeps all D devices busy concurrently. When false the
-  /// consumer issues every chunk read inline — no threads, no overlap — which
-  /// is the striped analogue of `IoMode::kSync` and exists so conformance
-  /// tests can pin down that threading reorders time, never data.
-  bool threaded = true;
-};
-
-/// Streams the runs of a `StripedDataFile` in exact logical order.
-///
-/// Threaded mode fans one reader thread out per stripe; thread `s` reads the
-/// logical chunks `c ≡ s (mod D)` of the requested range in ascending order
-/// and feeds them through its own bounded channel. The consumer pops chunks
-/// in global logical order (chunk c comes from channel c mod D — delivery
-/// order per channel is FIFO, so this is deterministic) and splices them
-/// into runs of `run_size` elements. Because assembly is by logical index,
-/// the run sequence — and therefore every downstream sketch — is
-/// byte-identical to the plain sync reader over the same logical data,
-/// regardless of stripe count, chunk size or timing.
-///
-/// Error semantics match `AsyncRunReader`: runs wholly before the first
-/// failing chunk are delivered, then the failure surfaces as the `Status`
-/// from `NextRun` (and from every later call). The destructor closes all
-/// channels and joins all reader threads, so abandoning the source
-/// mid-stream (or after an error) can neither hang nor leak threads.
+/// Positioned reads of a striped file: a fetch never leaves its chunk, so
+/// it is one read on the chunk's stripe.
 template <typename K>
-class StripedRunSource : public RunSource<K> {
+class StripeBlockFetcher : public BlockFetcher<K> {
  public:
-  /// `file` is borrowed and must outlive the source. Same `first`/`count`
-  /// sub-range contract as `RunReader`.
-  StripedRunSource(const StripedDataFile<K>* file, uint64_t run_size,
-                   StripedReaderOptions options = StripedReaderOptions(),
-                   uint64_t first = 0, uint64_t count = UINT64_MAX)
-      : file_(file), run_size_(run_size), threaded_(options.threaded),
-        begin_(first), next_(first), end_(first) {
-    OPAQ_CHECK(file != nullptr);
-    OPAQ_CHECK_GT(run_size, 0u);
-    OPAQ_CHECK_LE(first, file->size());
-    end_ = first + std::min(count, file->size() - first);
-    next_chunk_ = next_ / file_->chunk_elements();
-    if (!threaded_ || next_ >= end_) return;
-    // Inline mode never allocates prefetch rings, so the depth is only
-    // constrained when threads are actually spawned.
-    OPAQ_CHECK_GE(options.prefetch_chunks, 1u);
-    OPAQ_CHECK_LE(options.prefetch_chunks, kMaxPrefetchDepth);
-    const uint64_t end_chunk = DivCeil(end_, file_->chunk_elements());
-    const uint32_t stripes = file_->num_stripes();
-    channels_.reserve(stripes);
-    for (uint32_t s = 0; s < stripes; ++s) {
-      channels_.push_back(std::make_unique<Channel<ChunkMessage>>(
-          static_cast<size_t>(options.prefetch_chunks)));
-    }
-    for (uint32_t s = 0; s < stripes; ++s) {
-      // First chunk >= next_chunk_ owned by stripe s.
-      uint64_t c = next_chunk_ + (s + stripes - next_chunk_ % stripes) % stripes;
-      if (c >= end_chunk) continue;  // stripe owns nothing in the range
-      threads_.emplace_back([this, s, c, end_chunk, stripes] {
-        ReadLoop(s, c, end_chunk, stripes);
-      });
-    }
-  }
+  explicit StripeBlockFetcher(const StripedDataFile<K>* file) : file_(file) {}
 
-  ~StripedRunSource() override {
-    for (auto& channel : channels_) channel->Close();
-    for (std::thread& thread : threads_) {
-      if (thread.joinable()) thread.join();
-    }
-  }
-
-  StripedRunSource(const StripedRunSource&) = delete;
-  StripedRunSource& operator=(const StripedRunSource&) = delete;
-
-  Result<bool> NextRun(std::vector<K>* buffer) override {
-    buffer->clear();
-    if (!status_.ok()) return status_;
-    if (next_ >= end_) return false;
-    const uint64_t len = std::min(run_size_, end_ - next_);
-    if (!threaded_) {
-      buffer->resize(len);
-      Status read_status = file_->Read(next_, len, buffer->data());
-      if (!read_status.ok()) {
-        // Latch the failure so every later call reports it too — the same
-        // sticky error contract as the threaded path.
-        buffer->clear();
-        status_ = read_status;
-        return status_;
-      }
-      next_ += len;
-      return true;
-    }
-    while (pending_total_ < len) {
-      ChunkMessage message;
-      Channel<ChunkMessage>& channel =
-          *channels_[next_chunk_ % file_->num_stripes()];
-      if (!channel.Receive(&message)) {
-        // A reader thread closes its channel only after delivering every
-        // chunk it owns (or its error message), so running dry here means
-        // the source itself is broken.
-        status_ = Status::Internal("stripe reader stopped short of chunk " +
-                                   std::to_string(next_chunk_));
-        return status_;
-      }
-      if (!message.status.ok()) {
-        status_ = message.status;
-        return status_;
-      }
-      pending_total_ += message.data.size();
-      pending_.push_back(std::move(message.data));
-      ++next_chunk_;
-    }
-    // Splice the run off the front of the pending chunk queue.
-    buffer->resize(len);
-    uint64_t filled = 0;
-    while (filled < len) {
-      std::vector<K>& front = pending_.front();
-      const uint64_t take = std::min<uint64_t>(len - filled,
-                                               front.size() - pending_head_);
-      std::copy_n(front.begin() + static_cast<size_t>(pending_head_),
-                  static_cast<size_t>(take),
-                  buffer->begin() + static_cast<size_t>(filled));
-      filled += take;
-      pending_head_ += take;
-      if (pending_head_ == front.size()) {
-        pending_.pop_front();
-        pending_head_ = 0;
-      }
-    }
-    pending_total_ -= len;
-    next_ += len;
-    return true;
+  Status Fetch(uint64_t first, uint64_t count, K* out) override {
+    return file_->Read(first, count, out);
   }
 
  private:
-  struct ChunkMessage {
-    Status status;
-    std::vector<K> data;
-  };
-
-  /// Body of stripe `s`'s reader thread: reads the logical chunks
-  /// `first_chunk, first_chunk + stride, ...` below `end_chunk`, trimmed to
-  /// the requested element range, in ascending order.
-  void ReadLoop(uint32_t s, uint64_t first_chunk, uint64_t end_chunk,
-                uint32_t stride) {
-    const uint64_t chunk_elements = file_->chunk_elements();
-    for (uint64_t c = first_chunk; c < end_chunk; c += stride) {
-      const uint64_t chunk_start = c * chunk_elements;
-      // Trim against the immutable range bounds (begin_/end_), never the
-      // consumer's moving cursor — reader threads share this object.
-      const uint64_t start = std::max(chunk_start, begin_);
-      const uint64_t stop = std::min(chunk_start + file_->ChunkLength(c), end_);
-      ChunkMessage message;
-      message.data.resize(stop - start);
-      message.status = file_->Read(start, stop - start, message.data.data());
-      if (!message.status.ok()) {
-        message.data.clear();
-        channels_[s]->Send(std::move(message));
-        break;
-      }
-      if (!channels_[s]->Send(std::move(message))) return;  // consumer gone
-    }
-    channels_[s]->Close();
-  }
-
   const StripedDataFile<K>* file_;
-  uint64_t run_size_;
-  bool threaded_;
-  uint64_t begin_;      // first element of the range (immutable)
-  uint64_t next_;       // next logical element to deliver (consumer only)
-  uint64_t end_;        // one past the last element of the range (immutable)
-  uint64_t next_chunk_; // next logical chunk to pop (threaded mode)
-  Status status_;       // sticky failure state
-
-  std::deque<std::vector<K>> pending_;  // chunks popped but not yet spliced
-  uint64_t pending_head_ = 0;           // consumed prefix of pending_.front()
-  uint64_t pending_total_ = 0;          // elements across pending_ minus head
-
-  std::vector<std::unique_ptr<Channel<ChunkMessage>>> channels_;
-  std::vector<std::thread> threads_;
 };
 
-/// The striped storage backend as a `RunProvider`: `IoMode::kAsync` maps to
-/// one reader thread per stripe (`prefetch_depth` chunks in flight each),
-/// `IoMode::kSync` to inline chunk reads.
+/// The striped storage backend as a `RunProvider`. The chunk is the block,
+/// so under `IoMode::kAsync` fetch thread s reads only the chunks of stripe
+/// s and all D devices stay busy; under `IoMode::kSync` chunks are read
+/// inline, straight into the run.
 template <typename K>
 class StripedFileProvider : public RunProvider<K> {
  public:
@@ -218,12 +43,17 @@ class StripedFileProvider : public RunProvider<K> {
   std::unique_ptr<RunSource<K>> OpenRuns(
       const ReadOptions& options, uint64_t first = 0,
       uint64_t count = UINT64_MAX) const override {
-    StripedReaderOptions striped_options;
-    striped_options.prefetch_chunks = options.prefetch_depth;
-    striped_options.threaded = options.io_mode == IoMode::kAsync;
-    return std::make_unique<StripedRunSource<K>>(file_, options.run_size,
-                                                 striped_options, first,
-                                                 count);
+    BlockSpan<K> span;
+    span.first = first;
+    span.count = ClampCount(file_->size(), first, count);
+    span.block = file_->chunk_elements();
+    const StripedDataFile<K>* file = file_;
+    span.open = [file]() -> FetcherOrError<K> {
+      return std::unique_ptr<BlockFetcher<K>>(new StripeBlockFetcher<K>(file));
+    };
+    return std::make_unique<RunPipeline<K>>(
+        std::vector<BlockSpan<K>>{std::move(span)}, options,
+        file_->num_stripes());
   }
 
   const StripedDataFile<K>* file() const { return file_; }

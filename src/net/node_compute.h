@@ -103,6 +103,8 @@ Result<std::vector<uint8_t>> NodeExactPass(const RunProvider<K>& provider,
   ReadOptions options;
   options.run_size = request.run_size;
   options.io_mode = static_cast<IoMode>(request.io_mode);
+  // The v3 field counts runs' worth of read-ahead, like every other
+  // prefetch_depth; 0 (an older client leaving it unset) means one run.
   options.prefetch_depth =
       request.prefetch_depth == 0 ? 1 : request.prefetch_depth;
   if (options.prefetch_depth > kMaxPrefetchDepth) {

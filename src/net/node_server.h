@@ -12,6 +12,7 @@
 #include "io/data_file.h"
 #include "io/extent.h"
 #include "io/striped_data_file.h"
+#include "io/striped_run_source.h"
 #include "net/frame_server.h"
 #include "net/node_compute.h"
 #include "net/socket.h"

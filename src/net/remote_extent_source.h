@@ -3,258 +3,72 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
-#include <deque>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "io/data_file.h"
 #include "io/extent.h"
+#include "io/run_pipeline.h"
 #include "net/client.h"
-#include "parallel/channel.h"
-#include "util/math.h"
 #include "util/status.h"
 
 namespace opaq {
 
-/// Streams the runs of a COMPRESSED dataset served by a remote data node
-/// (wire v4): the node ships each stored extent verbatim — packed payload,
-/// CRC and all — and this source validates and decodes it CLIENT-SIDE, so
-/// the wire carries the packed byte count, not the logical one (the same
-/// bytes-from-disk cut the codecs buy locally, applied to the network).
-/// The network sibling of `ExtentRunSource`, and the extent sibling of
-/// `RemoteRunSource`.
-///
-/// Under `IoMode::kSync` each extent is a blocking request/response decoded
-/// inline. Under `IoMode::kAsync` a streaming thread pipelines up to
-/// `prefetch_depth` single-extent requests on the wire and decodes each
-/// response on the streaming thread — CRC check and codec work never touch
-/// the sampling thread — feeding decoded chunks through a bounded channel.
+/// Stored extents from a remote data node (wire v4): the node ships each
+/// extent verbatim — packed payload, CRC and all — and this fetcher
+/// validates and decodes it client-side, so the wire carries the packed
+/// byte count, not the logical one. Requests pipeline like range reads.
 ///
 /// Every stored extent is validated with `DecodeStoredExtent` against the
 /// geometry negotiated at open (`WireExtentInfo`), NEVER against the bytes
-/// the node sent — a lying or corrupt extent header is a clean sticky
-/// `Status`, not an allocation bomb or a crash, even though the peer is the
-/// one choosing the bytes. Error semantics match every other source: runs
-/// wholly before the first failing extent are delivered, then the failure
-/// latches; the destructor closes the channel, shakes the streaming thread
-/// out of any blocked socket read, and joins it.
+/// the node sent: a lying or corrupt extent header is a clean sticky
+/// `Status`, not an allocation bomb or a crash, even though the peer chooses
+/// the bytes.
 template <typename K>
-class RemoteExtentSource : public RunSource<K> {
+class RemoteExtentFetcher : public BlockFetcher<K> {
  public:
-  RemoteExtentSource(const RemoteSpec& spec, const WireExtentInfo& info,
-                     const NodeClientOptions& client_options,
-                     const ReadOptions& options,
-                     std::shared_ptr<ExtentStats> stats, uint64_t first = 0,
-                     uint64_t count = UINT64_MAX)
-      : spec_(spec), info_(info), run_size_(options.run_size),
-        threaded_(options.io_mode == IoMode::kAsync),
-        verify_checksums_(options.verify_checksums), begin_(first),
-        next_(first), end_(first), stats_(std::move(stats)) {
-    OPAQ_CHECK_GT(run_size_, 0u);
-    OPAQ_CHECK_EQ(info.element_size, sizeof(K))
-        << "provider handshake admitted a mismatched element size";
-    OPAQ_CHECK_LE(first, info.element_count);
-    end_ = first + std::min(count, info.element_count - first);
-    next_extent_ = next_ / info_.extent_elements;
-    auto client = NodeClient::Connect(spec_.host, spec_.port, client_options);
-    if (!client.ok()) {
-      status_ = client.status();
-      return;
-    }
-    client_ = std::make_unique<NodeClient>(std::move(client).value());
-    if (!threaded_ || next_ >= end_) return;
-    OPAQ_CHECK_GE(options.prefetch_depth, 1u);
-    OPAQ_CHECK_LE(options.prefetch_depth, kMaxPrefetchDepth);
-    window_ = options.prefetch_depth;
-    channel_ = std::make_unique<Channel<ChunkMessage>>(
-        static_cast<size_t>(options.prefetch_depth));
-    thread_ = std::thread([this] { StreamLoop(); });
+  RemoteExtentFetcher(NodeClient client, std::string dataset,
+                      const WireExtentInfo& info, bool verify_checksums,
+                      std::shared_ptr<ExtentStats> stats)
+      : client_(std::move(client)), dataset_(std::move(dataset)),
+        info_(info), verify_checksums_(verify_checksums),
+        stats_(std::move(stats)) {}
+
+  Status Request(uint64_t first, uint64_t count) override {
+    (void)count;
+    return client_.SendReadExtents(dataset_, first / info_.extent_elements,
+                                   1);
   }
 
-  ~RemoteExtentSource() override {
-    if (channel_ != nullptr) channel_->Close();
-    // Wake the streaming thread out of any blocked socket transfer; the
-    // descriptor stays valid until `client_` dies below.
-    if (client_ != nullptr) client_->ShutdownNow();
-    if (thread_.joinable()) thread_.join();
-  }
-
-  RemoteExtentSource(const RemoteExtentSource&) = delete;
-  RemoteExtentSource& operator=(const RemoteExtentSource&) = delete;
-
-  Result<bool> NextRun(std::vector<K>* buffer) override {
-    buffer->clear();
-    if (!status_.ok()) return status_;
-    if (next_ >= end_) return false;
-    const uint64_t len = std::min(run_size_, end_ - next_);
-    while (pending_total_ < len) {
-      ChunkMessage message;
-      if (threaded_) {
-        if (!channel_->Receive(&message)) {
-          // The streaming thread closes only after delivering every extent
-          // (or its error); running dry earlier means the source broke.
-          status_ = Status::Internal(
-              "node extent stream stopped short of extent " +
-              std::to_string(next_extent_));
-          return status_;
-        }
-      } else {
-        message.status = FetchChunk(next_extent_, &message.data);
-      }
-      if (!message.status.ok()) {
-        status_ = message.status;
-        return status_;
-      }
-      pending_total_ += message.data.size();
-      pending_.push_back(std::move(message.data));
-      ++next_extent_;
-    }
-    // Splice the run off the front of the pending chunk queue.
-    buffer->resize(len);
-    uint64_t filled = 0;
-    while (filled < len) {
-      std::vector<K>& front = pending_.front();
-      const uint64_t take =
-          std::min<uint64_t>(len - filled, front.size() - pending_head_);
-      std::copy_n(front.begin() + static_cast<size_t>(pending_head_),
-                  static_cast<size_t>(take),
-                  buffer->begin() + static_cast<size_t>(filled));
-      filled += take;
-      pending_head_ += take;
-      if (pending_head_ == front.size()) {
-        pending_.pop_front();
-        pending_head_ = 0;
-      }
-    }
-    pending_total_ -= len;
-    next_ += len;
-    return true;
-  }
-
- private:
-  struct ChunkMessage {
-    Status status;
-    std::vector<K> data;
-  };
-
-  /// Elements of logical extent `e` (only the last extent may be ragged) —
-  /// from the geometry negotiated at open, the trusted side of every
-  /// decode.
-  uint64_t ExtentLength(uint64_t e) const {
-    const uint64_t start = e * info_.extent_elements;
-    return std::min(info_.extent_elements, info_.element_count - start);
-  }
-
-  /// Validates + decodes the stored bytes of extent `e`, trimmed to the
-  /// requested element range. `extent_buf` is caller-owned so each thread
-  /// reuses its own full-extent buffer for clipped extents.
-  Status DecodeChunk(uint64_t e, const std::vector<uint8_t>& stored,
-                     std::vector<K>* data, std::vector<K>* extent_buf) const {
+  Status Fetch(uint64_t first, uint64_t count, K* out) override {
+    OPAQ_ASSIGN_OR_RETURN(std::vector<uint8_t> stored,
+                          client_.ReceiveExtents());
+    const uint64_t e = first / info_.extent_elements;
     const uint64_t extent_start = e * info_.extent_elements;
-    const uint64_t extent_len = ExtentLength(e);
-    const uint64_t expected_unpacked = extent_len * sizeof(K);
-    // Trim against the immutable range bounds (begin_/end_), never the
-    // consumer's moving cursor — the streaming thread shares this object.
-    const uint64_t start = std::max(extent_start, begin_);
-    const uint64_t stop = std::min(extent_start + extent_len, end_);
-    data->resize(stop - start);
-    if (start == extent_start && stop == extent_start + extent_len) {
-      // Whole extent wanted: decode straight into the chunk.
-      return DecodeStoredExtent(stored.data(), stored.size(), e,
-                                expected_unpacked, sizeof(K),
-                                verify_checksums_, data->data(),
-                                stats_.get());
-    }
-    extent_buf->resize(extent_len);
+    const uint64_t extent_len =
+        std::min(info_.extent_elements, info_.element_count - extent_start);
+    const bool whole = first == extent_start && count == extent_len;
+    if (!whole) extent_.resize(extent_len);
     OPAQ_RETURN_IF_ERROR(DecodeStoredExtent(
-        stored.data(), stored.size(), e, expected_unpacked, sizeof(K),
-        verify_checksums_, extent_buf->data(), stats_.get()));
-    std::copy_n(extent_buf->begin() +
-                    static_cast<size_t>(start - extent_start),
-                static_cast<size_t>(stop - start), data->begin());
+        stored.data(), stored.size(), e, extent_len * sizeof(K), sizeof(K),
+        verify_checksums_, whole ? out : extent_.data(), stats_.get()));
+    if (!whole) {
+      std::copy_n(extent_.begin() + (first - extent_start), count, out);
+    }
     return Status::OK();
   }
 
-  /// Inline (sync) path: one blocking request/response + decode.
-  Status FetchChunk(uint64_t e, std::vector<K>* data) {
-    OPAQ_RETURN_IF_ERROR(client_->SendReadExtents(spec_.dataset, e, 1));
-    auto stored = client_->ReceiveExtents();
-    if (!stored.ok()) return stored.status();
-    return DecodeChunk(e, *stored, data, &extent_buf_);
-  }
+  void Cancel() override { client_.ShutdownNow(); }
 
-  /// Body of the streaming thread: keeps `window_` single-extent requests
-  /// on the wire, receives responses in order, decodes each on THIS thread,
-  /// and feeds decoded chunks through the bounded channel.
-  void StreamLoop() {
-    std::vector<K> extent_buf;
-    const uint64_t end_extent = DivCeil(end_, info_.extent_elements);
-    uint64_t send_cursor = next_extent_;
-    uint64_t recv_cursor = next_extent_;
-    uint64_t outstanding = 0;
-    while (recv_cursor < end_extent) {
-      while (outstanding < window_ && send_cursor < end_extent) {
-        Status s = client_->SendReadExtents(spec_.dataset, send_cursor, 1);
-        if (!s.ok()) {
-          EmitFailure(s);
-          return;
-        }
-        ++send_cursor;
-        ++outstanding;
-      }
-      auto stored = client_->ReceiveExtents();
-      if (!stored.ok()) {
-        EmitFailure(stored.status());
-        return;
-      }
-      ChunkMessage message;
-      message.status =
-          DecodeChunk(recv_cursor, *stored, &message.data, &extent_buf);
-      if (!message.status.ok()) {
-        EmitFailure(message.status);
-        return;
-      }
-      ++recv_cursor;
-      --outstanding;
-      if (!channel_->Send(std::move(message))) return;  // consumer gone
-    }
-    channel_->Close();
-  }
-
-  void EmitFailure(Status status) {
-    ChunkMessage message;
-    message.status = std::move(status);
-    message.data.clear();
-    channel_->Send(std::move(message));
-    channel_->Close();
-  }
-
-  RemoteSpec spec_;
+ private:
+  NodeClient client_;
+  std::string dataset_;
   WireExtentInfo info_;
-  uint64_t run_size_;
-  bool threaded_;
   bool verify_checksums_;
-  uint64_t begin_;        // first element of the range (immutable)
-  uint64_t next_;         // next logical element to deliver (consumer only)
-  uint64_t end_;          // one past the last element (immutable)
-  uint64_t next_extent_;  // next logical extent to pop/decode
-  uint64_t window_ = 0;   // pipelined requests in flight (immutable)
-  Status status_;         // sticky failure state
-
-  std::deque<std::vector<K>> pending_;  // chunks popped but not yet spliced
-  uint64_t pending_head_ = 0;           // consumed prefix of pending_.front()
-  uint64_t pending_total_ = 0;          // elements across pending_ minus head
-
-  std::vector<K> extent_buf_;  // inline-mode clipped-extent decode buffer
   std::shared_ptr<ExtentStats> stats_;
-
-  std::unique_ptr<NodeClient> client_;
-  std::unique_ptr<Channel<ChunkMessage>> channel_;
-  std::thread thread_;
+  std::vector<K> extent_;  // a clipped extent, decoded whole
 };
 
 /// A compressed remote dataset as a `RunProvider`: the wire-v4 network
@@ -297,8 +111,26 @@ class RemoteExtentProvider : public RunProvider<K> {
   std::unique_ptr<RunSource<K>> OpenRuns(
       const ReadOptions& options, uint64_t first = 0,
       uint64_t count = UINT64_MAX) const override {
-    return std::make_unique<RemoteExtentSource<K>>(
-        spec_, info_, client_options_, options, stats_, first, count);
+    BlockSpan<K> span;
+    span.first = first;
+    span.count = ClampCount(info_.element_count, first, count);
+    span.block = info_.extent_elements;
+    span.positioned = false;
+    const RemoteSpec spec = spec_;
+    const NodeClientOptions client_options = client_options_;
+    const WireExtentInfo info = info_;
+    const bool verify = options.verify_checksums;
+    const std::shared_ptr<ExtentStats> stats = stats_;
+    span.open = [spec, client_options, info, verify,
+                 stats]() -> FetcherOrError<K> {
+      OPAQ_ASSIGN_OR_RETURN(
+          NodeClient client,
+          NodeClient::Connect(spec.host, spec.port, client_options));
+      return std::unique_ptr<BlockFetcher<K>>(new RemoteExtentFetcher<K>(
+          std::move(client), spec.dataset, info, verify, stats));
+    };
+    return std::make_unique<RunPipeline<K>>(
+        std::vector<BlockSpan<K>>{std::move(span)}, options);
   }
 
   const ExtentStats* pack_stats() const override { return stats_.get(); }

@@ -3,221 +3,53 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "io/data_file.h"
+#include "io/run_pipeline.h"
 #include "io/run_reader.h"
 #include "net/client.h"
-#include "parallel/channel.h"
 #include "util/status.h"
 
 namespace opaq {
 
-/// Streams the runs of a dataset served by a remote data node, in exact
-/// logical order — the network sibling of `AsyncRunReader` (one device) and
-/// `StripedRunSource` (one array). Because it implements `RunSource<K>`
-/// over the same logical element stream, every downstream sketch is
-/// byte-identical to any local backend over the same data (enforced by
-/// `backend_conformance_test`).
-///
-/// The range `[first, first + count)` is fetched as fixed slices of
-/// `min(node's max_read_elements, run_size)` elements. Under
-/// `IoMode::kSync` each slice is a blocking request/response issued inline
-/// from `NextRun`. Under `IoMode::kAsync` a streaming thread PIPELINES the
-/// slice requests — up to `prefetch_depth` in flight on the wire while up
-/// to `prefetch_depth` received slices queue in a bounded `Channel` — so
-/// network latency and the node's own disk time overlap the consumer's
-/// sampling exactly as async disk I/O does. Peak client memory is
-/// ~`2 * prefetch_depth + 1` slices on top of the run being assembled.
-///
-/// Error semantics match the other sources: runs wholly before the first
-/// failing slice are delivered, then the failure — a node death, a
-/// truncated or corrupted frame, an error frame relaying the node's own
-/// disk failure — latches as the sticky `Status` every later `NextRun`
-/// repeats. The destructor closes the channel, shakes the streaming thread
-/// out of any blocked socket read, and joins it: abandoning the source
-/// mid-stream can neither hang nor leak.
+/// Range reads from a remote data node (wire v1 `kReadRange`) over one
+/// connection. Requests are pipelined: under `IoMode::kAsync` the fetch
+/// thread keeps a budget's worth of range requests on the wire while it
+/// receives the oldest, so network latency and the node's own disk time
+/// overlap the caller's sampling. Each response lands directly in `out`.
 template <typename K>
-class RemoteRunSource : public RunSource<K> {
+class RangeBlockFetcher : public BlockFetcher<K> {
  public:
-  RemoteRunSource(const RemoteSpec& spec, const WireDatasetInfo& info,
-                  const NodeClientOptions& client_options,
-                  const ReadOptions& options, uint64_t first = 0,
-                  uint64_t count = UINT64_MAX)
-      : spec_(spec), run_size_(options.run_size),
-        threaded_(options.io_mode == IoMode::kAsync), next_(first),
-        end_(first) {
-    OPAQ_CHECK_GT(run_size_, 0u);
-    OPAQ_CHECK_EQ(info.element_size, sizeof(K))
-        << "provider handshake admitted a mismatched element size";
-    OPAQ_CHECK_LE(first, info.element_count);
-    end_ = first + std::min(count, info.element_count - first);
-    slice_ = std::max<uint64_t>(
-        1, std::min<uint64_t>(info.max_read_elements, run_size_));
-    auto client = NodeClient::Connect(spec_.host, spec_.port, client_options);
-    if (!client.ok()) {
-      status_ = client.status();
-      return;
-    }
-    client_ = std::make_unique<NodeClient>(std::move(client).value());
-    if (!threaded_ || next_ >= end_) return;
-    OPAQ_CHECK_GE(options.prefetch_depth, 1u);
-    OPAQ_CHECK_LE(options.prefetch_depth, kMaxPrefetchDepth);
-    window_ = options.prefetch_depth;
-    channel_ = std::make_unique<Channel<SliceMessage>>(
-        static_cast<size_t>(options.prefetch_depth));
-    thread_ = std::thread([this] { StreamLoop(); });
+  RangeBlockFetcher(NodeClient client, std::string dataset)
+      : client_(std::move(client)), dataset_(std::move(dataset)) {}
+
+  Status Request(uint64_t first, uint64_t count) override {
+    return client_.SendReadRange(dataset_, first, count);
   }
 
-  ~RemoteRunSource() override {
-    if (channel_ != nullptr) channel_->Close();
-    // Wake the streaming thread out of any blocked socket transfer; the
-    // descriptor stays valid until `client_` dies below.
-    if (client_ != nullptr) client_->ShutdownNow();
-    if (thread_.joinable()) thread_.join();
+  Status Fetch(uint64_t first, uint64_t count, K* out) override {
+    (void)first;
+    return client_.ReceiveRange(out, count * sizeof(K));
   }
 
-  RemoteRunSource(const RemoteRunSource&) = delete;
-  RemoteRunSource& operator=(const RemoteRunSource&) = delete;
-
-  Result<bool> NextRun(std::vector<K>* buffer) override {
-    buffer->clear();
-    if (!status_.ok()) return status_;
-    if (next_ >= end_) return false;
-    const uint64_t len = std::min(run_size_, end_ - next_);
-    if (!threaded_) {
-      // Inline request/response per slice, straight into the run buffer.
-      buffer->resize(len);
-      uint64_t filled = 0;
-      while (filled < len) {
-        const uint64_t take = std::min(slice_, len - filled);
-        Status s = client_->ReadRange(spec_.dataset, next_ + filled, take,
-                                      buffer->data() + filled,
-                                      take * sizeof(K));
-        if (!s.ok()) {
-          buffer->clear();
-          status_ = s;
-          return status_;
-        }
-        filled += take;
-      }
-      next_ += len;
-      return true;
-    }
-    while (pending_total_ < len) {
-      SliceMessage message;
-      if (!channel_->Receive(&message)) {
-        // The streaming thread closes only after delivering every slice (or
-        // its error); running dry earlier means the source itself broke.
-        status_ = Status::Internal("node stream stopped short at element " +
-                                   std::to_string(next_ + pending_total_));
-        return status_;
-      }
-      if (!message.status.ok()) {
-        status_ = message.status;
-        return status_;
-      }
-      pending_total_ += message.data.size();
-      pending_.push_back(std::move(message.data));
-    }
-    // Splice the run off the front of the pending slice queue.
-    buffer->resize(len);
-    uint64_t filled = 0;
-    while (filled < len) {
-      std::vector<K>& front = pending_.front();
-      const uint64_t take = std::min<uint64_t>(len - filled,
-                                               front.size() - pending_head_);
-      std::copy_n(front.begin() + static_cast<size_t>(pending_head_),
-                  static_cast<size_t>(take),
-                  buffer->begin() + static_cast<size_t>(filled));
-      filled += take;
-      pending_head_ += take;
-      if (pending_head_ == front.size()) {
-        pending_.pop_front();
-        pending_head_ = 0;
-      }
-    }
-    pending_total_ -= len;
-    next_ += len;
-    return true;
-  }
+  void Cancel() override { client_.ShutdownNow(); }
 
  private:
-  struct SliceMessage {
-    Status status;
-    std::vector<K> data;
-  };
-
-  /// Body of the streaming thread: keeps `window_` slice requests on the
-  /// wire, receives responses in order, and feeds them through the bounded
-  /// channel. The channel's backpressure (plus the window) bounds
-  /// read-ahead memory.
-  void StreamLoop() {
-    uint64_t send_cursor = next_;
-    uint64_t recv_cursor = next_;
-    uint64_t outstanding = 0;
-    while (recv_cursor < end_) {
-      while (outstanding < window_ && send_cursor < end_) {
-        const uint64_t len = std::min(slice_, end_ - send_cursor);
-        Status s = client_->SendReadRange(spec_.dataset, send_cursor, len);
-        if (!s.ok()) {
-          EmitFailure(s);
-          return;
-        }
-        send_cursor += len;
-        ++outstanding;
-      }
-      const uint64_t len = std::min(slice_, end_ - recv_cursor);
-      SliceMessage message;
-      message.data.resize(len);
-      Status s = client_->ReceiveRange(message.data.data(), len * sizeof(K));
-      if (!s.ok()) {
-        EmitFailure(s);
-        return;
-      }
-      recv_cursor += len;
-      --outstanding;
-      if (!channel_->Send(std::move(message))) return;  // consumer gone
-    }
-    channel_->Close();
-  }
-
-  void EmitFailure(Status status) {
-    SliceMessage message;
-    message.status = std::move(status);
-    channel_->Send(std::move(message));
-    channel_->Close();
-  }
-
-  RemoteSpec spec_;
-  uint64_t run_size_;
-  bool threaded_;
-  uint64_t next_;    // next logical element to deliver (consumer only)
-  uint64_t end_;     // one past the last element of the range (immutable)
-  uint64_t slice_ = 1;   // elements per kReadRange request (immutable)
-  uint64_t window_ = 0;  // pipelined requests in flight (immutable)
-  Status status_;        // sticky failure state
-
-  std::deque<std::vector<K>> pending_;  // slices popped but not yet spliced
-  uint64_t pending_head_ = 0;           // consumed prefix of pending_.front()
-  uint64_t pending_total_ = 0;          // elements across pending_ minus head
-
-  std::unique_ptr<NodeClient> client_;
-  std::unique_ptr<Channel<SliceMessage>> channel_;
-  std::thread thread_;
+  NodeClient client_;
+  std::string dataset_;
 };
 
 /// A dataset served by a remote data node as a `RunProvider`: the network
 /// storage backend. `Connect` performs the handshake (one round trip) and
-/// validates the node's key type against `K`; every `OpenRuns` then dials
-/// its OWN connection, so concurrent run streams — multi-shard engines,
-/// an exact second pass racing a sketch — never share socket state and the
-/// node serves each from its own thread.
+/// validates the node's key type against `K`. Every `OpenRuns` streams the
+/// range as slices of at most the node's `max_read_elements`, cut at run
+/// boundaries, and dials its OWN connection, so concurrent run streams —
+/// multi-shard engines, an exact second pass racing a sketch — never share
+/// socket state and the node serves each from its own thread.
 ///
 /// The dataset geometry is a snapshot from `Connect` time; like every
 /// other provider, the provider describes one immutable logical dataset.
@@ -254,8 +86,21 @@ class RemoteRunProvider : public RunProvider<K> {
   std::unique_ptr<RunSource<K>> OpenRuns(
       const ReadOptions& options, uint64_t first = 0,
       uint64_t count = UINT64_MAX) const override {
-    return std::make_unique<RemoteRunSource<K>>(spec_, info_, client_options_,
-                                                options, first, count);
+    BlockSpan<K> span;
+    span.first = first;
+    span.count = ClampCount(info_.element_count, first, count);
+    span.max_fetch = std::max<uint64_t>(1, info_.max_read_elements);
+    const RemoteSpec spec = spec_;
+    const NodeClientOptions client_options = client_options_;
+    span.open = [spec, client_options]() -> FetcherOrError<K> {
+      OPAQ_ASSIGN_OR_RETURN(
+          NodeClient client,
+          NodeClient::Connect(spec.host, spec.port, client_options));
+      return std::unique_ptr<BlockFetcher<K>>(
+          new RangeBlockFetcher<K>(std::move(client), spec.dataset));
+    };
+    return std::make_unique<RunPipeline<K>>(
+        std::vector<BlockSpan<K>>{std::move(span)}, options);
   }
 
   const RemoteSpec& spec() const { return spec_; }

@@ -18,7 +18,7 @@ namespace opaq {
 /// thread to wake a peer blocked in a transfer — it half-closes the socket
 /// without invalidating the descriptor, so the blocked call fails with a
 /// clean Status instead of hanging (used when a consumer abandons a
-/// streaming `RemoteRunSource` mid-run).
+/// streaming remote run pipeline mid-run).
 class TcpConnection {
  public:
   /// An empty (never-connected) connection; every transfer fails.

@@ -58,7 +58,7 @@ namespace opaq {
 /// clients may PIPELINE requests: send k `kReadRange` frames back to back,
 /// then consume the k responses in order. The server answers frames in
 /// arrival order on each connection, which is what makes pipelining safe
-/// and what `RemoteRunSource` exploits to overlap network latency with
+/// and what `RemoteRunProvider` exploits to overlap network latency with
 /// compute.
 ///
 /// Security caveat: the protocol is UNAUTHENTICATED and unencrypted — a
@@ -248,7 +248,7 @@ struct WireSampleRunsRequest {
   uint64_t seed = 0;
   uint32_t select_algorithm = 0;  // SelectAlgorithm tag
   uint32_t io_mode = 0;           // 0 = sync, 1 = async
-  uint32_t prefetch_depth = 0;
+  uint32_t prefetch_depth = 0;    // runs of read-ahead under async
   uint32_t reserved = 0;
 };
 static_assert(sizeof(WireSampleRunsRequest) == 40);
@@ -280,7 +280,7 @@ struct WireExactPassRequest {
   uint64_t run_size = 0;
   uint32_t num_brackets = 0;
   uint32_t io_mode = 0;  // 0 = sync, 1 = async
-  uint32_t prefetch_depth = 0;
+  uint32_t prefetch_depth = 0;  // runs of read-ahead under async (0 = 1)
   uint32_t name_len = 0;  // dataset-name bytes following this prefix
 };
 static_assert(sizeof(WireExactPassRequest) == 32);

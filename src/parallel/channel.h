@@ -11,69 +11,6 @@
 
 namespace opaq {
 
-/// A bounded multi-producer/multi-consumer queue with close semantics —
-/// the building block for producer/consumer pipelines (the async run
-/// reader uses two: a free-buffer channel and a full-buffer channel).
-///
-/// Semantics:
-///  - `Send` blocks while the channel holds `capacity` items; it returns
-///    false (dropping the value) once the channel is closed.
-///  - `Receive` blocks while the channel is empty and open; after `Close`
-///    it keeps draining queued items and returns false only when empty.
-///  - `Close` is idempotent and wakes every blocked sender and receiver.
-template <typename T>
-class Channel {
- public:
-  explicit Channel(size_t capacity) : capacity_(capacity) {
-    if (capacity_ == 0) capacity_ = 1;
-  }
-
-  /// Blocks until there is room (or the channel closes). Returns whether
-  /// the value was enqueued.
-  bool Send(T value) {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      send_cv_.wait(lock, [&] { return closed_ || items_.size() < capacity_; });
-      if (closed_) return false;
-      items_.push_back(std::move(value));
-    }
-    recv_cv_.notify_one();
-    return true;
-  }
-
-  /// Blocks until an item is available (or the channel closes empty).
-  /// Returns whether `*out` was populated.
-  bool Receive(T* out) {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      recv_cv_.wait(lock, [&] { return closed_ || !items_.empty(); });
-      if (items_.empty()) return false;  // closed and drained
-      *out = std::move(items_.front());
-      items_.pop_front();
-    }
-    send_cv_.notify_one();
-    return true;
-  }
-
-  /// Closes the channel: senders fail fast, receivers drain then stop.
-  void Close() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      closed_ = true;
-    }
-    send_cv_.notify_all();
-    recv_cv_.notify_all();
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable send_cv_;
-  std::condition_variable recv_cv_;
-  std::deque<T> items_;
-  size_t capacity_;
-  bool closed_ = false;
-};
-
 /// One untyped message in flight between simulated processors.
 struct Message {
   int source = -1;

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/estimator.h"
-#include "io/async_run_reader.h"
 #include "io/run_reader.h"
 #include "parallel/collectives.h"
 #include "select/select.h"
@@ -119,21 +118,6 @@ Result<std::vector<K>> ParallelExactQuantiles(
                             SelectAlgorithm::kIntroSelect, rng));
   }
   return out;
-}
-
-/// Deprecated back-compat wrapper: synchronous scan of one plain local file.
-template <typename K>
-[[deprecated(
-    "wrap the file in a FileRunProvider (or opaq::Source) and call the "
-    "RunProvider overload")]]
-Result<std::vector<K>> ParallelExactQuantiles(
-    ProcessorContext& ctx, const TypedDataFile<K>* local_file,
-    const std::vector<QuantileEstimate<K>>& estimates, uint64_t run_size,
-    uint64_t local_memory_budget = 0) {
-  ReadOptions options;
-  options.run_size = run_size;
-  return ParallelExactQuantiles(ctx, FileRunProvider<K>(local_file),
-                                estimates, options, local_memory_budget);
 }
 
 }  // namespace opaq

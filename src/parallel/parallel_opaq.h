@@ -87,7 +87,8 @@ Result<ParallelOpaqResult<K>> RunParallelOpaq(
     OpaqConfig config = options.config;
     config.seed += static_cast<uint64_t>(ctx.rank());  // independent pivots
     OpaqSketch<K> sketch(config);
-    std::unique_ptr<RunSource<K>> reader = MakeRunSource<K>(*provider, config);
+    std::unique_ptr<RunSource<K>> reader =
+        provider->OpenRuns(config.read_options());
     std::vector<K> buffer;
     Status local_status;
     while (true) {
@@ -211,27 +212,6 @@ Result<ParallelOpaqResult<K>> RunParallelOpaq(
   OPAQ_RETURN_IF_ERROR(run_status);
   result.total_wall_seconds = total_timer.ElapsedSeconds();
   return result;
-}
-
-/// Deprecated back-compat wrapper: one plain data file per processor.
-template <typename K>
-[[deprecated(
-    "wrap each file in a FileRunProvider (or opaq::Source) and call the "
-    "RunProvider overload")]]
-Result<ParallelOpaqResult<K>> RunParallelOpaq(
-    Cluster& cluster, const std::vector<const TypedDataFile<K>*>& local_files,
-    const ParallelOpaqOptions& options) {
-  std::vector<FileRunProvider<K>> providers;
-  providers.reserve(local_files.size());
-  std::vector<const RunProvider<K>*> pointers;
-  pointers.reserve(local_files.size());
-  for (const TypedDataFile<K>* file : local_files) {
-    providers.emplace_back(file);
-  }
-  for (const FileRunProvider<K>& provider : providers) {
-    pointers.push_back(&provider);
-  }
-  return RunParallelOpaq(cluster, pointers, options);
 }
 
 }  // namespace opaq

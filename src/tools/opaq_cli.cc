@@ -146,11 +146,11 @@ std::vector<FlagSpec> ExtentFlags() {
 std::vector<FlagSpec> IoFlags() {
   return {
       {"io-mode", "sync", "OpaqConfig::io_mode",
-       "sync = alternate read/compute; async = prefetch on background "
-       "thread(s)"},
-      {"prefetch-depth", "2", "OpaqConfig::prefetch_depth",
-       "prefetch buffers (runs, or chunks per stripe) in flight under "
-       "async",
+       "sync = alternate read/compute; async = prefetch on fetch "
+       "thread(s), one per device"},
+      {"prefetch-depth", "1", "OpaqConfig::prefetch_depth",
+       "runs' worth of elements read ahead under async, on every "
+       "backend (1 = double buffering)",
        false, FlagType::kInt},
       {"run-size", "1048576", "OpaqConfig::run_size",
        "elements per run (m): how many keys are memory-resident at once",

@@ -1,7 +1,8 @@
-// Sync-vs-async equivalence and overlap tests for the double-buffered run
-// pipeline: for any config and seed the async path must produce bit-identical
-// estimator state (prefetching reorders time, never data), and on a slow-disk
-// model it must actually overlap device time with compute.
+// Sync-vs-async equivalence and overlap tests for the prefetching run
+// pipeline over plain files: for any config and seed the async path must
+// produce bit-identical estimator state (prefetching reorders time, never
+// data), and on a slow-disk model it must actually overlap device time with
+// compute.
 
 #include <gtest/gtest.h>
 
@@ -189,10 +190,11 @@ TEST(AsyncIoTest, AsyncBeatsSyncOnSlowDisk) {
 
   WallTimer async_timer;
   {
-    AsyncReaderOptions options;
+    ReadOptions options;
+    options.run_size = kRunSize;
+    options.io_mode = IoMode::kAsync;
     options.prefetch_depth = 2;
-    AsyncRunReader<Key> reader(&*file, kRunSize, options);
-    consume(&reader);
+    consume(FileRunProvider<Key>(&*file).OpenRuns(options).get());
   }
   const double async_seconds = async_timer.ElapsedSeconds();
 
@@ -201,56 +203,18 @@ TEST(AsyncIoTest, AsyncBeatsSyncOnSlowDisk) {
       << "sync=" << sync_seconds << "s async=" << async_seconds << "s";
 }
 
-TEST(AsyncIoTest, DepthLargerThanRunCount) {
-  DatasetSpec spec;
-  spec.n = 300;  // 3 runs of 100
-  MemoryFile data(spec);
-  AsyncReaderOptions options;
-  options.prefetch_depth = 16;
-  AsyncRunReader<Key> reader(&*data.file, 100, options);
-  std::vector<Key> buffer;
-  int runs = 0;
-  while (true) {
-    auto more = reader.NextRun(&buffer);
-    ASSERT_TRUE(more.ok());
-    if (!*more) break;
-    ++runs;
-  }
-  EXPECT_EQ(runs, 3);
-  // Exhausted source keeps reporting EOF, not an error.
-  auto again = reader.NextRun(&buffer);
-  ASSERT_TRUE(again.ok());
-  EXPECT_FALSE(*again);
-}
-
 TEST(AsyncIoTest, EmptyFileYieldsNoRuns) {
   auto device = std::make_unique<MemoryBlockDevice>();
   auto created = TypedDataFile<Key>::Create(device.get(), 0);
   ASSERT_TRUE(created.ok());
-  AsyncRunReader<Key> reader(&*created, 128);
+  ReadOptions options;
+  options.run_size = 128;
+  options.io_mode = IoMode::kAsync;
+  auto reader = FileRunProvider<Key>(&*created).OpenRuns(options);
   std::vector<Key> buffer;
-  auto more = reader.NextRun(&buffer);
+  auto more = reader->NextRun(&buffer);
   ASSERT_TRUE(more.ok());
   EXPECT_FALSE(*more);
-}
-
-TEST(AsyncIoTest, AbandonedMidStreamJoinsCleanly) {
-  // Destroying the reader with most runs unconsumed (and the prefetch ring
-  // full) must close the pipeline and join the thread — no hang, no leak
-  // (the asan/tsan presets gate this).
-  DatasetSpec spec;
-  spec.n = 64 * 1024;
-  MemoryFile data(spec);
-  for (uint64_t depth : {1u, 4u}) {
-    AsyncReaderOptions options;
-    options.prefetch_depth = depth;
-    AsyncRunReader<Key> reader(&*data.file, 1024, options);
-    std::vector<Key> buffer;
-    auto more = reader.NextRun(&buffer);
-    ASSERT_TRUE(more.ok());
-    EXPECT_TRUE(*more);
-    // Drop the reader with ~63 runs still pending.
-  }
 }
 
 TEST(AsyncIoTest, ValidateRejectsBadPrefetchDepth) {
@@ -277,47 +241,25 @@ TEST(AsyncIoTest, ValidateRejectsBadPrefetchDepth) {
 }
 
 TEST(AsyncIoTest, ValidateChargesStripedPrefetchMemory) {
-  // The §2.3 budget must charge stripes * prefetch_depth in-flight chunk
-  // buffers (at the chunk <= run_size layout) on top of the run being
-  // assembled: a budget that fits plain async can be blown by striping.
+  // The §2.3 budget charges prefetch_depth runs of read-ahead on top of the
+  // run being sampled, on every backend: the fetch threads share one
+  // budget, so striping does not multiply it.
   OpaqConfig config;
   config.run_size = 1000;
   config.samples_per_run = 100;
   config.io_mode = IoMode::kAsync;
   config.prefetch_depth = 2;
   const uint64_t n = 10000;  // 10 runs => r*s = 1000
-  // Plain async needs 1000 + 3*1000; give exactly that.
+  // Async at depth 2 needs 1000 + 3*1000; give exactly that.
   EXPECT_TRUE(config.Validate(n, 4000).ok());
-  config.stripes = 8;  // now 1000 + (8*2 + 1)*1000
-  EXPECT_EQ(config.Validate(n, 4000).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_TRUE(config.Validate(n, 18000).ok());
-}
-
-TEST(AsyncIoTest, SubRangeMatchesSyncReader) {
-  // The async reader honors the same first/count partition contract.
-  DatasetSpec spec;
-  spec.n = 1000;
-  spec.distribution = Distribution::kSequential;
-  MemoryFile data(spec);
-
-  auto drain = [](RunSource<Key>* source) {
-    std::vector<Key> buffer, seen;
-    while (true) {
-      auto more = source->NextRun(&buffer);
-      OPAQ_CHECK_OK(more.status());
-      if (!*more) break;
-      seen.insert(seen.end(), buffer.begin(), buffer.end());
-    }
-    return seen;
-  };
-
-  RunReader<Key> sync_reader(&*data.file, 64, 130, 333);
-  std::vector<Key> expected = drain(&sync_reader);
-  AsyncReaderOptions options;
-  options.prefetch_depth = 3;
-  AsyncRunReader<Key> async_reader(&*data.file, 64, options, 130, 333);
-  EXPECT_EQ(drain(&async_reader), expected);
+  EXPECT_EQ(config.Validate(n, 3999).code(), StatusCode::kInvalidArgument);
+  config.stripes = 8;  // still 1000 + (2 + 1)*1000
+  EXPECT_TRUE(config.Validate(n, 4000).ok());
+  config.prefetch_depth = 3;  // now 1000 + (3 + 1)*1000
+  EXPECT_EQ(config.Validate(n, 4000).code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(config.Validate(n, 5000).ok());
+  config.io_mode = IoMode::kSync;  // sync holds only the run itself
+  EXPECT_TRUE(config.Validate(n, 2000).ok());
 }
 
 }  // namespace

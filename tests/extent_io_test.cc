@@ -96,6 +96,15 @@ Result<std::vector<Key>> Drain(RunSource<Key>& source) {
   }
 }
 
+/// Read options for streaming with `run_size`, threaded (kAsync) or inline.
+ReadOptions StreamOptions(uint64_t run_size, bool threaded) {
+  ReadOptions options;
+  options.run_size = run_size;
+  options.io_mode = threaded ? IoMode::kAsync : IoMode::kSync;
+  options.prefetch_depth = 2;
+  return options;
+}
+
 /// One valid stored extent (header + payload) packed with `codec`, for the
 /// hostile-byte rows to mutate.
 std::vector<uint8_t> MakeStoredExtent(const std::vector<Key>& values,
@@ -312,10 +321,9 @@ TEST(ExtentRoundTripTest, AcrossCodecsSizesStripesAndTails) {
       // Inline (sync) and threaded (async) streams must both deliver the
       // exact logical order.
       for (bool threaded : {false, true}) {
-        ExtentReaderOptions reader;
-        reader.threaded = threaded;
-        ExtentRunSource<Key> source(&*file, /*run_size=*/17, reader);
-        auto streamed = Drain(source);
+        auto source = ExtentFileProvider<Key>(&*file).OpenRuns(
+            StreamOptions(/*run_size=*/17, threaded));
+        auto streamed = Drain(*source);
         ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
         EXPECT_EQ(*streamed, data) << (threaded ? "threaded" : "inline");
       }
@@ -325,38 +333,6 @@ TEST(ExtentRoundTripTest, AcrossCodecsSizesStripesAndTails) {
         ASSERT_TRUE(file->ReadElements(1, c.n - 2, slice.data()).ok());
         EXPECT_EQ(slice, std::vector<Key>(data.begin() + 1, data.end() - 1));
       }
-    }
-  }
-}
-
-TEST(ExtentRoundTripTest, SubRangeStreamsMatchTheSlice) {
-  ExtentWriterOptions options;
-  options.extent_elements = 16;
-  options.codec = ExtentCodec::kDelta;
-  const std::vector<Key> data = Iota(333);
-  MemoryExtents stripes(data, 3, options);
-  auto file = ExtentFile::Open(stripes.raw());
-  ASSERT_TRUE(file.ok()) << file.status().ToString();
-  struct Range {
-    uint64_t first, count;
-  };
-  // Ranges clipping extents at both ends, spanning stripes, and empty.
-  const Range kRanges[] = {{0, 333}, {5, 40},  {16, 16}, {15, 18},
-                           {330, 3}, {100, 0}, {333, 0}, {47, 111}};
-  for (const Range& r : kRanges) {
-    for (bool threaded : {false, true}) {
-      SCOPED_TRACE("[" + std::to_string(r.first) + ", +" +
-                   std::to_string(r.count) + ") threaded=" +
-                   std::to_string(threaded));
-      ExtentReaderOptions reader;
-      reader.threaded = threaded;
-      ExtentRunSource<Key> source(&*file, /*run_size=*/7, reader, r.first,
-                                  r.count);
-      auto streamed = Drain(source);
-      ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-      EXPECT_EQ(*streamed,
-                std::vector<Key>(data.begin() + r.first,
-                                 data.begin() + r.first + r.count));
     }
   }
 }
@@ -377,8 +353,9 @@ TEST(ExtentRoundTripTest, PackStatsAccount) {
 
   auto file = ExtentFile::Open(stripes.raw());
   ASSERT_TRUE(file.ok());
-  ExtentRunSource<Key> source(&*file, 100, ExtentReaderOptions{2, false});
-  ASSERT_TRUE(Drain(source).ok());
+  auto source =
+      ExtentFileProvider<Key>(&*file).OpenRuns(StreamOptions(100, false));
+  ASSERT_TRUE(Drain(*source).ok());
   // The reader's unpack accounting mirrors the writer's pack accounting.
   const ExtentStatsSnapshot unpacked = file->stats().Snapshot();
   EXPECT_EQ(unpacked.extents, packed.extents);
@@ -406,8 +383,9 @@ TEST(ExtentRoundTripTest, IncompressibleExtentsFallBackToRaw) {
       << "random data should defeat the delta codec";
   auto file = ExtentFile::Open(stripes.raw());
   ASSERT_TRUE(file.ok());
-  ExtentRunSource<Key> source(&*file, 64, ExtentReaderOptions{2, false});
-  auto streamed = Drain(source);
+  auto source =
+      ExtentFileProvider<Key>(&*file).OpenRuns(StreamOptions(64, false));
+  auto streamed = Drain(*source);
   ASSERT_TRUE(streamed.ok());
   EXPECT_EQ(*streamed, data);
 }
@@ -690,9 +668,9 @@ TEST(ExtentHostileTest, CorruptExtentSurfacesAsStickyStatusMidStream) {
   ASSERT_TRUE(file.ok()) << file.status().ToString();
   for (bool threaded : {false, true}) {
     SCOPED_TRACE(threaded ? "threaded" : "inline");
-    ExtentReaderOptions reader;
-    reader.threaded = threaded;
-    ExtentRunSource<Key> source(&*file, /*run_size=*/8, reader);
+    auto opened = ExtentFileProvider<Key>(&*file).OpenRuns(
+        StreamOptions(/*run_size=*/8, threaded));
+    RunSource<Key>& source = *opened;
     std::vector<Key> run;
     // Intact prefix first: extents 0..3 are clean.
     for (int r = 0; r < 4; ++r) {
@@ -711,11 +689,10 @@ TEST(ExtentHostileTest, CorruptExtentSurfacesAsStickyStatusMidStream) {
   }
   // Turning verification off skips only the CRC: the flipped payload now
   // decodes (to wrong bytes — that is the documented trade).
-  ExtentReaderOptions unchecked;
-  unchecked.threaded = false;
+  ReadOptions unchecked = StreamOptions(/*run_size=*/64, false);
   unchecked.verify_checksums = false;
-  ExtentRunSource<Key> source(&*file, /*run_size=*/64, unchecked);
-  EXPECT_TRUE(Drain(source).ok());
+  auto source = ExtentFileProvider<Key>(&*file).OpenRuns(unchecked);
+  EXPECT_TRUE(Drain(*source).ok());
 }
 
 TEST(ExtentHostileTest, AbandonedThreadedReaderJoinsCleanly) {
@@ -725,11 +702,10 @@ TEST(ExtentHostileTest, AbandonedThreadedReaderJoinsCleanly) {
   ASSERT_TRUE(stripes.write_stats.ok());
   auto file = ExtentFile::Open(stripes.raw());
   ASSERT_TRUE(file.ok());
-  ExtentReaderOptions reader;
-  reader.threaded = true;
-  ExtentRunSource<Key> source(&*file, /*run_size=*/10, reader);
+  auto source = ExtentFileProvider<Key>(&*file).OpenRuns(
+      StreamOptions(/*run_size=*/10, true));
   std::vector<Key> run;
-  auto more = source.NextRun(&run);
+  auto more = source->NextRun(&run);
   ASSERT_TRUE(more.ok());
   // Destructor must close channels and join all stripe threads without
   // draining the stream (no hang, no leak — TSan/ASan watch this).

@@ -491,56 +491,6 @@ TEST(FacadeAppsTest, BuildersMatchClassicConstruction) {
       StatusCode::kInvalidArgument);
 }
 
-// ------------------------------------------------ Deprecated wrappers ----
-
-// The pre-facade entry points survive as deprecated one-line wrappers; this
-// is the one place that may still call them, proving they forward to the
-// same results the facade produces.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-TEST(DeprecatedWrapperTest, OldEntryPointsForwardToTheFacadePath) {
-  const std::vector<Key> data = TestData(9000);
-  MemoryBlockDevice device;
-  OPAQ_CHECK_OK(WriteDataset(data, &device));
-  auto file = TypedDataFile<Key>::Open(&device);
-  ASSERT_TRUE(file.ok());
-  OpaqConfig config = SmallConfig();
-
-  OpaqSketch<Key> via_wrapper(config);
-  ASSERT_TRUE(via_wrapper.ConsumeFile(&*file).ok());
-  OpaqSketch<Key> via_provider(config);
-  ASSERT_TRUE(via_provider.Consume(FileRunProvider<Key>(&*file)).ok());
-  SampleList<Key> wrapper_list = via_wrapper.FinalizeSampleList();
-  SampleList<Key> provider_list = via_provider.FinalizeSampleList();
-  EXPECT_EQ(Serialize(wrapper_list), Serialize(provider_list));
-
-  auto old_reader = MakeRunSource<Key>(&*file, config);
-  auto new_reader = FileRunProvider<Key>(&*file).OpenRuns(
-      config.read_options());
-  std::vector<Key> old_replay, new_replay, buffer;
-  while (*old_reader->NextRun(&buffer)) {
-    old_replay.insert(old_replay.end(), buffer.begin(), buffer.end());
-  }
-  while (*new_reader->NextRun(&buffer)) {
-    new_replay.insert(new_replay.end(), buffer.begin(), buffer.end());
-  }
-  EXPECT_EQ(old_replay, new_replay);
-
-  OpaqEstimator<Key> estimator(std::move(provider_list));
-  auto median = estimator.Quantile(0.5);
-  auto old_exact = ExactQuantileSecondPass(&*file, median, config.run_size);
-  ASSERT_TRUE(old_exact.ok());
-  auto new_exact = ExactQuantileSecondPass(FileRunProvider<Key>(&*file),
-                                           median, config.read_options());
-  ASSERT_TRUE(new_exact.ok());
-  EXPECT_EQ(*old_exact, *new_exact);
-}
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
 // -------------------------------------------- point() doc/behavior fix ----
 
 TEST(QuantileEstimateTest, PointIsTheBracketMidpoint) {

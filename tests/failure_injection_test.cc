@@ -203,9 +203,12 @@ TEST(FailureInjectionTest, AsyncReaderKeepsReportingErrorAfterFailure) {
   // must keep returning that error (not EOF, not a crash).
   FaultyFixture f(1000, FailReadAt(2));  // first data read fails
   ASSERT_TRUE(f.file.ok());
-  AsyncReaderOptions options;
+  ReadOptions options;
+  options.run_size = 250;
+  options.io_mode = IoMode::kAsync;
   options.prefetch_depth = 2;
-  AsyncRunReader<uint64_t> reader(&*f.file, 250, options);
+  auto source = FileRunProvider<uint64_t>(&*f.file).OpenRuns(options);
+  RunSource<uint64_t>& reader = *source;
   std::vector<uint64_t> buffer;
   auto first = reader.NextRun(&buffer);
   EXPECT_FALSE(first.ok());
@@ -220,9 +223,11 @@ TEST(FailureInjectionTest, AsyncReaderAbandonedAfterErrorDoesNotHang) {
   // consuming: the destructor must still close the pipeline and join.
   FaultyFixture f(1000, FailReadAt(2));
   ASSERT_TRUE(f.file.ok());
-  AsyncReaderOptions options;
+  ReadOptions options;
+  options.run_size = 100;
+  options.io_mode = IoMode::kAsync;
   options.prefetch_depth = 8;
-  AsyncRunReader<uint64_t> reader(&*f.file, 100, options);
+  auto reader = FileRunProvider<uint64_t>(&*f.file).OpenRuns(options);
   // No NextRun at all.
 }
 
@@ -393,12 +398,12 @@ TEST(FailureInjectionTest, StripedReaderKeepsReportingErrorAfterFailure) {
   for (bool threaded : {true, false}) {
     FaultyStripeFixture f(6000, FailReadAt(2));  // stripe 1's 1st data chunk
     ASSERT_TRUE(f.file.ok());
-    StripedReaderOptions options;
-    options.prefetch_chunks = 2;
-    options.threaded = threaded;
-    StripedRunSource<uint64_t> source(&*f.file,
-                                      FaultyStripeFixture::kRunSize,
-                                      options);
+    ReadOptions options;
+    options.run_size = FaultyStripeFixture::kRunSize;
+    options.io_mode = threaded ? IoMode::kAsync : IoMode::kSync;
+    options.prefetch_depth = 2;
+    auto opened = StripedFileProvider<uint64_t>(&*f.file).OpenRuns(options);
+    RunSource<uint64_t>& source = *opened;
     std::vector<uint64_t> buffer;
     // Run 0 (stripe 0) is intact; run 1 dies; so does every later call —
     // even though the FaultyDevice only poisons one read.
@@ -419,9 +424,11 @@ TEST(FailureInjectionTest, StripedReaderAbandonedAfterErrorDoesNotHang) {
   // close every channel and join every thread.
   FaultyStripeFixture f(6000, FailReadAt(2));
   ASSERT_TRUE(f.file.ok());
-  StripedReaderOptions options;
-  options.prefetch_chunks = 8;
-  StripedRunSource<uint64_t> source(&*f.file, 250, options);
+  ReadOptions options;
+  options.run_size = 250;
+  options.io_mode = IoMode::kAsync;
+  options.prefetch_depth = 8;
+  auto source = StripedFileProvider<uint64_t>(&*f.file).OpenRuns(options);
   // No NextRun at all.
 }
 
@@ -597,12 +604,12 @@ TEST(FailureInjectionTest, ExtentReaderKeepsReportingErrorAfterFailure) {
   for (bool threaded : {true, false}) {
     FaultyExtentFixture f(6000, FailReadAt(4));  // stripe 1's 1st extent
     ASSERT_TRUE(f.file.ok()) << f.file.status().ToString();
-    ExtentReaderOptions options;
-    options.prefetch_extents = 2;
-    options.threaded = threaded;
-    ExtentRunSource<uint64_t> source(&*f.file,
-                                     FaultyExtentFixture::kRunSize,
-                                     options);
+    ReadOptions options;
+    options.run_size = FaultyExtentFixture::kRunSize;
+    options.io_mode = threaded ? IoMode::kAsync : IoMode::kSync;
+    options.prefetch_depth = 2;
+    auto opened = ExtentFileProvider<uint64_t>(&*f.file).OpenRuns(options);
+    RunSource<uint64_t>& source = *opened;
     std::vector<uint64_t> buffer;
     // Run 0 (extent 0, stripe 0) is intact; run 1 dies; so does every
     // later call — even though the FaultyDevice poisons only one read.
@@ -624,9 +631,11 @@ TEST(FailureInjectionTest, ExtentReaderAbandonedAfterErrorDoesNotHang) {
   // close every channel and join every thread.
   FaultyExtentFixture f(6000, FailReadAt(4));
   ASSERT_TRUE(f.file.ok()) << f.file.status().ToString();
-  ExtentReaderOptions options;
-  options.prefetch_extents = 8;
-  ExtentRunSource<uint64_t> source(&*f.file, 250, options);
+  ReadOptions options;
+  options.run_size = 250;
+  options.io_mode = IoMode::kAsync;
+  options.prefetch_depth = 8;
+  auto source = ExtentFileProvider<uint64_t>(&*f.file).OpenRuns(options);
   // No NextRun at all.
 }
 

@@ -261,16 +261,6 @@ void ExpectRemoteMatchesLocal(const NodeFixture& node, uint64_t run_size,
   }
 }
 
-TEST(RemoteRunSourceTest, MatchesLocalReaderAcrossModes) {
-  NodeFixture node(10007);  // ragged tail
-  for (uint64_t run_size : {1u, 100u, 999u, 10007u, 20000u}) {
-    ExpectRemoteMatchesLocal(node, run_size, IoMode::kSync, 2);
-    for (uint64_t depth : {1u, 2u, 5u}) {
-      ExpectRemoteMatchesLocal(node, run_size, IoMode::kAsync, depth);
-    }
-  }
-}
-
 TEST(NodeServerTest, StartRejectsUnframeableReadBound) {
   NodeServerOptions options;
   options.max_read_bytes = uint64_t{kMaxWirePayload} + 1;
@@ -313,44 +303,7 @@ TEST(NodeServerTest, SequentialConnectionsAreReaped) {
   EXPECT_GE(node.server.connections_accepted(), 40u);
 }
 
-TEST(RemoteRunSourceTest, SmallReadBoundForcesManySlices) {
-  // A tiny per-request bound exercises the slice/splice path: runs must
-  // still come out identical, sync and async.
-  NodeServerOptions options;
-  options.max_read_bytes = 16 * sizeof(Key);
-  NodeFixture node(4096, options);
-  ExpectRemoteMatchesLocal(node, 1000, IoMode::kSync, 2);
-  ExpectRemoteMatchesLocal(node, 1000, IoMode::kAsync, 3);
-}
-
-TEST(RemoteRunSourceTest, SubRangesClampLikeLocalReader) {
-  NodeFixture node(5000);
-  auto provider = RemoteRunProvider<Key>::Connect(node.spec());
-  ASSERT_TRUE(provider.ok());
-  struct Case {
-    uint64_t first, count;
-  } cases[] = {{0, 5000}, {100, 250}, {4990, UINT64_MAX}, {5000, 10}, {0, 0}};
-  for (const Case& c : cases) {
-    ReadOptions options;
-    options.run_size = 128;
-    options.io_mode = IoMode::kAsync;
-    auto remote_runs =
-        Drain(provider->OpenRuns(options, c.first, c.count).get());
-    RunReader<Key> local(node.file.get(), 128, c.first, c.count);
-    std::vector<std::vector<Key>> local_runs;
-    std::vector<Key> buffer;
-    for (;;) {
-      auto more = local.NextRun(&buffer);
-      OPAQ_CHECK_OK(more.status());
-      if (!*more) break;
-      local_runs.push_back(buffer);
-    }
-    ASSERT_EQ(remote_runs, local_runs)
-        << "[" << c.first << ", +" << c.count << ")";
-  }
-}
-
-TEST(RemoteRunSourceTest, StripedExportServesLogicalOrder) {
+TEST(RemoteRunProviderTest, StripedExportServesLogicalOrder) {
   NodeFixture node(9000, NodeServerOptions(), /*stripes=*/3, /*chunk=*/123);
   auto provider = RemoteRunProvider<Key>::Connect(node.spec("striped"));
   ASSERT_TRUE(provider.ok()) << provider.status().ToString();
@@ -363,7 +316,7 @@ TEST(RemoteRunSourceTest, StripedExportServesLogicalOrder) {
   EXPECT_EQ(flat, node.data);
 }
 
-TEST(RemoteRunSourceTest, ConcurrentStreamsFromOneProvider) {
+TEST(RemoteRunProviderTest, ConcurrentStreamsFromOneProvider) {
   // Each OpenRuns dials its own connection; two threads streaming halves
   // of the dataset concurrently must each see exactly their half.
   NodeFixture node(20000);

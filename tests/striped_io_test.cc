@@ -10,9 +10,7 @@
 
 #include "data/dataset.h"
 #include "io/block_device.h"
-#include "io/run_reader.h"
 #include "io/striped_data_file.h"
-#include "io/striped_run_source.h"
 #include "io/tempdir.h"
 
 namespace opaq {
@@ -279,134 +277,6 @@ TEST(StripedDataFileTest, WorksOnRealFiles) {
   auto all = file->ReadAll();
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(*all, data);
-}
-
-// ------------------------------------------------------- StripedRunSource --
-
-std::vector<Key> Drain(RunSource<Key>* source,
-                       std::vector<uint64_t>* run_lengths = nullptr) {
-  std::vector<Key> buffer, seen;
-  while (true) {
-    auto more = source->NextRun(&buffer);
-    OPAQ_CHECK_OK(more.status());
-    if (!*more) break;
-    if (run_lengths != nullptr) run_lengths->push_back(buffer.size());
-    seen.insert(seen.end(), buffer.begin(), buffer.end());
-  }
-  return seen;
-}
-
-TEST(StripedRunSourceTest, DeliversExactRunOrder) {
-  // Every (stripes, chunk, run) shape must reproduce the plain reader's run
-  // stream exactly: same run lengths, same contents, same order.
-  std::vector<Key> data = Iota(10007);  // ragged everywhere
-  for (int stripes : {1, 2, 4}) {
-    for (uint64_t chunk : {64u, 100u, 1000u, 4096u}) {
-      for (uint64_t run : {100u, 128u, 999u, 20000u}) {
-        MemoryStripes striped(data, stripes, chunk);
-        ASSERT_TRUE(striped.file.ok());
-        for (bool threaded : {false, true}) {
-          StripedReaderOptions options;
-          options.threaded = threaded;
-          StripedRunSource<Key> source(&*striped.file, run, options);
-          std::vector<uint64_t> lengths;
-          EXPECT_EQ(Drain(&source, &lengths), data)
-              << "stripes=" << stripes << " chunk=" << chunk
-              << " run=" << run << " threaded=" << threaded;
-          // Run shape must match the plain RunReader contract.
-          for (size_t i = 0; i + 1 < lengths.size(); ++i) {
-            EXPECT_EQ(lengths[i], run);
-          }
-          if (!lengths.empty()) {
-            EXPECT_EQ(lengths.back(),
-                      data.size() % run == 0 ? run : data.size() % run);
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(StripedRunSourceTest, HonorsSubRanges) {
-  std::vector<Key> data = Iota(1000);
-  MemoryStripes striped(data, 3, 32);
-  ASSERT_TRUE(striped.file.ok());
-  MemoryBlockDevice plain;
-  ASSERT_TRUE(WriteDataset(data, &plain).ok());
-  auto plain_file = TypedDataFile<Key>::Open(&plain);
-  ASSERT_TRUE(plain_file.ok());
-
-  struct Range {
-    uint64_t first, count;
-  };
-  for (const Range& r : {Range{130, 333}, Range{0, 0}, Range{999, 100},
-                         Range{1000, 5}, Range{32, UINT64_MAX},
-                         Range{7, 32}}) {
-    RunReader<Key> reference(&*plain_file, 64, r.first, r.count);
-    std::vector<Key> expected = Drain(&reference);
-    for (bool threaded : {false, true}) {
-      StripedReaderOptions options;
-      options.threaded = threaded;
-      options.prefetch_chunks = 3;
-      StripedRunSource<Key> source(&*striped.file, 64, options, r.first,
-                                   r.count);
-      EXPECT_EQ(Drain(&source), expected)
-          << "first=" << r.first << " count=" << r.count
-          << " threaded=" << threaded;
-    }
-  }
-}
-
-TEST(StripedRunSourceTest, ExhaustedSourceKeepsReportingEof) {
-  MemoryStripes striped(Iota(100), 2, 16);
-  ASSERT_TRUE(striped.file.ok());
-  StripedRunSource<Key> source(&*striped.file, 64);
-  std::vector<Key> buffer;
-  Drain(&source);
-  for (int i = 0; i < 3; ++i) {
-    auto more = source.NextRun(&buffer);
-    ASSERT_TRUE(more.ok());
-    EXPECT_FALSE(*more);
-  }
-}
-
-TEST(StripedRunSourceTest, AbandonedMidStreamJoinsCleanly) {
-  // Destroying the source with most chunks unconsumed (prefetch rings full,
-  // reader threads blocked on Send) must close the pipeline and join every
-  // stripe thread — no hang, no leak (asan/tsan gate this).
-  MemoryStripes striped(Iota(64 * 1024), 4, 256);
-  ASSERT_TRUE(striped.file.ok());
-  for (uint64_t depth : {1u, 4u}) {
-    StripedReaderOptions options;
-    options.prefetch_chunks = depth;
-    StripedRunSource<Key> source(&*striped.file, 1024, options);
-    std::vector<Key> buffer;
-    auto more = source.NextRun(&buffer);
-    ASSERT_TRUE(more.ok());
-    EXPECT_TRUE(*more);
-  }
-}
-
-TEST(StripedRunSourceTest, InlineModeIgnoresPrefetchDepth) {
-  // kSync maps to inline reads where the depth is meaningless; a bogus
-  // depth (e.g. 0 from an unset flag) must not abort — only the threaded
-  // mode allocates prefetch rings and enforces the bound.
-  MemoryStripes striped(Iota(200), 2, 32);
-  ASSERT_TRUE(striped.file.ok());
-  StripedReaderOptions options;
-  options.threaded = false;
-  options.prefetch_chunks = 0;
-  StripedRunSource<Key> source(&*striped.file, 64, options);
-  EXPECT_EQ(Drain(&source), Iota(200));
-}
-
-TEST(StripedRunSourceTest, DepthLargerThanChunkCount) {
-  MemoryStripes striped(Iota(300), 2, 50);  // 6 chunks, 3 per stripe
-  ASSERT_TRUE(striped.file.ok());
-  StripedReaderOptions options;
-  options.prefetch_chunks = 16;
-  StripedRunSource<Key> source(&*striped.file, 100, options);
-  EXPECT_EQ(Drain(&source), Iota(300));
 }
 
 }  // namespace
