@@ -5,9 +5,11 @@
 /// over TCP behind the same `RunProvider`/`RunSource` seam every local
 /// backend uses.
 ///
-///  - `NodeServer` (net/node_server.h) — export local `TypedDataFile` /
-///    `StripedDataFile` datasets on a port; thread per connection, bounded
-///    reads, error frames instead of crashes. `opaq_noded` is its CLI.
+///  - `NodeServer` (net/node_server.h) — export local `TypedDataFile`,
+///    `StripedDataFile` and compressed `ExtentFile` datasets, plus live
+///    directories (`OpenLiveExport`), on a port; thread per connection,
+///    bounded reads, error frames instead of crashes. `opaq_noded` is its
+///    CLI.
 ///  - `RemoteRunProvider<K>` (net/remote_source.h) — the v1 client
 ///    backend: pipelined request-ahead run streaming that overlaps network
 ///    latency with compute exactly as async disk I/O does.
@@ -18,11 +20,12 @@
 ///    `Source<K>::OpenRemote("host:port/dataset")`, which negotiates the
 ///    version per node and falls back to v1 streaming automatically.
 ///  - `QueryServer` (net/query_server.h) / `QueryClient<K>`
-///    (net/query_client.h) — the v3 query-serving layer: sketch once at
-///    startup, then answer millions of batched quantile / rank /
-///    equi-depth requests off the in-memory sample list, with exact
-///    requests coalesced into one shared §4 pass per round and epoch-style
-///    background refresh. `opaq_queryd` is its CLI.
+///    (net/query_client.h) — the query-serving layer (v3 query ops, v6
+///    stats): sketch once at startup, then answer millions of batched
+///    quantile / rank / equi-depth requests off the in-memory sample list,
+///    with exact requests coalesced into one shared §4 pass per round,
+///    epoch-style background refresh, and incremental live sessions
+///    (`ServeLive`). `opaq_queryd` is its CLI.
 ///  - The wire protocol (net/wire.h, payload codecs in
 ///    net/wire_compute.h, net/wire_query.h, and net/wire_stats.h — the v6
 ///    stats-snapshot ops every frame server answers): versioned

@@ -61,7 +61,7 @@ class Source {
   /// accounting surfaces through `Engine`'s stats.
   static Result<Source> FromFile(const ExtentFile* file) {
     OPAQ_CHECK(file != nullptr);
-    OPAQ_RETURN_IF_ERROR(CheckExtentKeyType(*file));
+    OPAQ_RETURN_IF_ERROR(CheckExtentKeyType<K>(*file));
     Source s;
     s.provider_ = std::make_shared<ExtentFileProvider<K>>(file);
     s.stripes_ = file->num_stripes();
@@ -98,22 +98,7 @@ class Source {
   /// whether a dataset is compressed. The source owns the device and file
   /// handles.
   static Result<Source> Open(const std::string& path) {
-    auto owned = std::make_shared<OwnedBackend>();
-    auto device = FileBlockDevice::Make(path, FileBlockDevice::Mode::kOpen);
-    if (!device.ok()) return device.status();
-    owned->devices.push_back(std::move(device).value());
-    auto magic = SniffMagic(owned->devices.back().get());
-    if (!magic.ok()) return magic.status();
-    if (*magic == ExtentFileHeader::kMagic) {
-      return OpenExtentOwned(std::move(owned));
-    }
-    auto file = TypedDataFile<K>::Open(owned->devices.back().get());
-    if (!file.ok()) return file.status();
-    owned->plain =
-        std::make_unique<TypedDataFile<K>>(std::move(file).value());
-    owned->provider =
-        std::make_unique<FileRunProvider<K>>(owned->plain.get());
-    return FromOwned(std::move(owned), 1);
+    return OpenFiles({path}, /*striped=*/false);
   }
 
   /// Opens the striped data file whose stripes live at `stripe_paths` (one
@@ -125,27 +110,7 @@ class Source {
     if (stripe_paths.empty()) {
       return Status::InvalidArgument("OpenStriped needs at least one path");
     }
-    auto owned = std::make_shared<OwnedBackend>();
-    std::vector<BlockDevice*> raw;
-    for (const std::string& path : stripe_paths) {
-      auto device = FileBlockDevice::Make(path, FileBlockDevice::Mode::kOpen);
-      if (!device.ok()) return device.status();
-      owned->devices.push_back(std::move(device).value());
-      raw.push_back(owned->devices.back().get());
-    }
-    auto magic = SniffMagic(owned->devices.front().get());
-    if (!magic.ok()) return magic.status();
-    if (*magic == ExtentFileHeader::kMagic) {
-      return OpenExtentOwned(std::move(owned));
-    }
-    auto file = StripedDataFile<K>::Open(std::move(raw));
-    if (!file.ok()) return file.status();
-    owned->striped =
-        std::make_unique<StripedDataFile<K>>(std::move(file).value());
-    owned->provider =
-        std::make_unique<StripedFileProvider<K>>(owned->striped.get());
-    const uint64_t stripes = owned->striped->num_stripes();
-    return FromOwned(std::move(owned), stripes);
+    return OpenFiles(stripe_paths, /*striped=*/true);
   }
 
   /// Opens a read snapshot of the live (appendable) dataset directory at
@@ -265,41 +230,46 @@ class Source {
     std::unique_ptr<RunProvider<K>> provider;
   };
 
-  static Status CheckExtentKeyType(const ExtentFile& file) {
-    if (file.key_type() != static_cast<uint32_t>(KeyTraits<K>::kType)) {
-      return Status::InvalidArgument(
-          std::string("extent file holds a different key type than ") +
-          KeyTraits<K>::kName);
-    }
-    return Status::OK();
-  }
-
-  /// First 8 bytes of the device (0 when shorter) — enough to dispatch on
-  /// every OPAQ on-disk magic; full validation happens in the format's own
-  /// Open.
-  static Result<uint64_t> SniffMagic(BlockDevice* device) {
-    auto size = device->Size();
-    if (!size.ok()) return size.status();
-    uint64_t magic = 0;
-    if (*size >= sizeof(magic)) {
-      OPAQ_RETURN_IF_ERROR(device->ReadAt(0, &magic, sizeof(magic)));
-    }
-    return magic;
-  }
-
-  /// Finishes `Open`/`OpenStriped` for the extent format: the devices are
-  /// already in `owned`, in stripe order.
-  static Result<Source> OpenExtentOwned(std::shared_ptr<OwnedBackend> owned) {
+  /// `Open`/`OpenStriped`: the first file's header names the format, so
+  /// extent files (plain or striped) open as one `ExtentFile` and the rest
+  /// as a plain (`striped == false`) or striped data file.
+  static Result<Source> OpenFiles(const std::vector<std::string>& paths,
+                                  bool striped) {
+    auto owned = std::make_shared<OwnedBackend>();
     std::vector<BlockDevice*> raw;
-    raw.reserve(owned->devices.size());
-    for (auto& device : owned->devices) raw.push_back(device.get());
-    auto file = ExtentFile::Open(std::move(raw));
-    if (!file.ok()) return file.status();
-    OPAQ_RETURN_IF_ERROR(CheckExtentKeyType(*file));
-    owned->extent = std::make_unique<ExtentFile>(std::move(file).value());
-    owned->provider =
-        std::make_unique<ExtentFileProvider<K>>(owned->extent.get());
-    const uint64_t stripes = owned->extent->num_stripes();
+    for (const std::string& path : paths) {
+      auto device = FileBlockDevice::Make(path, FileBlockDevice::Mode::kOpen);
+      if (!device.ok()) return device.status();
+      raw.push_back(device->get());
+      owned->devices.push_back(std::move(device).value());
+    }
+    auto prefix = ProbeDataFile(raw[0]);
+    if (!prefix.ok()) return prefix.status();
+    uint64_t stripes = 1;
+    if (prefix->magic == ExtentFileHeader::kMagic) {
+      auto file = ExtentFile::Open(raw);
+      if (!file.ok()) return file.status();
+      OPAQ_RETURN_IF_ERROR(CheckExtentKeyType<K>(*file));
+      owned->extent = std::make_unique<ExtentFile>(std::move(file).value());
+      owned->provider =
+          std::make_unique<ExtentFileProvider<K>>(owned->extent.get());
+      stripes = owned->extent->num_stripes();
+    } else if (!striped) {
+      auto file = TypedDataFile<K>::Open(raw[0]);
+      if (!file.ok()) return file.status();
+      owned->plain =
+          std::make_unique<TypedDataFile<K>>(std::move(file).value());
+      owned->provider =
+          std::make_unique<FileRunProvider<K>>(owned->plain.get());
+    } else {
+      auto file = StripedDataFile<K>::Open(raw);
+      if (!file.ok()) return file.status();
+      owned->striped =
+          std::make_unique<StripedDataFile<K>>(std::move(file).value());
+      owned->provider =
+          std::make_unique<StripedFileProvider<K>>(owned->striped.get());
+      stripes = owned->striped->num_stripes();
+    }
     return FromOwned(std::move(owned), stripes);
   }
 

@@ -305,6 +305,7 @@ class LiveDatasetReader : public RunProvider<K> {
       if ((record.flags & LiveManifestRecord::kFlagPacked) != 0) {
         auto file = ExtentFile::Open({segment->device.get()});
         if (!file.ok()) return file.status();
+        OPAQ_RETURN_IF_ERROR(CheckExtentKeyType<K>(*file));
         segment->extent = std::make_unique<ExtentFile>(std::move(*file));
         stored = segment->extent->size();
       } else {

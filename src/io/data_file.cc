@@ -2,7 +2,29 @@
 
 #include <cstring>
 
+#include "io/extent.h"
+#include "io/striped_data_file.h"
+
 namespace opaq {
+
+Result<DataFilePrefix> ProbeDataFile(BlockDevice* device) {
+  OPAQ_CHECK(device != nullptr);
+  auto size = device->Size();
+  if (!size.ok()) return size.status();
+  if (*size < sizeof(DataFilePrefix)) {
+    return Status::InvalidArgument(
+        "file too small to hold an OPAQ data file header");
+  }
+  DataFilePrefix prefix;
+  OPAQ_RETURN_IF_ERROR(device->ReadAt(0, &prefix, sizeof(prefix)));
+  if (prefix.magic != DataFileHeader::kMagic &&
+      prefix.magic != StripeFileHeader::kMagic &&
+      prefix.magic != ExtentFileHeader::kMagic) {
+    return Status::InvalidArgument(
+        "bad magic: not an OPAQ data, stripe or extent file");
+  }
+  return prefix;
+}
 
 Result<DataFile> DataFile::Open(BlockDevice* device) {
   OPAQ_CHECK(device != nullptr);

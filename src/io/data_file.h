@@ -1,9 +1,12 @@
 #ifndef OPAQ_IO_DATA_FILE_H_
 #define OPAQ_IO_DATA_FILE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "io/block_device.h"
@@ -49,6 +52,50 @@ struct KeyTraits<double> {
   static constexpr const char* kName = "f64";
 };
 
+/// A key type carried as a value: what `VisitKeyType` hands its visitor.
+template <typename K>
+struct KeyTag {
+  using type = K;
+};
+
+/// Calls `visit(KeyTag<K>{})` with the C++ key type `type` names — the one
+/// place a runtime key-type tag becomes a template argument. `visit` returns
+/// a `Status` or a `Result<T>`; an unknown tag (a corrupt or foreign header)
+/// returns InvalidArgument without calling it.
+template <typename F>
+auto VisitKeyType(KeyType type, F&& visit)
+    -> decltype(visit(KeyTag<uint64_t>{})) {
+  switch (type) {
+    case KeyType::kU32: return visit(KeyTag<uint32_t>{});
+    case KeyType::kU64: return visit(KeyTag<uint64_t>{});
+    case KeyType::kI64: return visit(KeyTag<int64_t>{});
+    case KeyType::kF32: return visit(KeyTag<float>{});
+    case KeyType::kF64: return visit(KeyTag<double>{});
+  }
+  return Status::InvalidArgument(
+      "unknown key type tag " +
+      std::to_string(static_cast<uint32_t>(type)));
+}
+
+/// The 16-byte prefix every OPAQ data-file header starts with — plain
+/// (`DataFileHeader`), striped (`StripeFileHeader`) and extent
+/// (`ExtentFileHeader`) alike: magic, format version, key type tag. Each
+/// header static_asserts that it lays these out at the same offsets.
+struct DataFilePrefix {
+  uint64_t magic = 0;
+  uint32_t version = 0;
+  KeyType key_type = KeyType::kU64;
+};
+static_assert(sizeof(DataFilePrefix) == 16);
+static_assert(offsetof(DataFilePrefix, key_type) == 12);
+
+/// Reads the prefix of the file on `device` — enough to dispatch on its
+/// format (magic) and key type before opening it with the format's own
+/// `Open`, which does the full validation. Rejects, with InvalidArgument,
+/// a device too short to hold a prefix and any magic other than the plain,
+/// stripe and extent ones.
+Result<DataFilePrefix> ProbeDataFile(BlockDevice* device);
+
 /// Fixed 32-byte header at offset 0 of every data file.
 struct DataFileHeader {
   static constexpr uint64_t kMagic = 0x4f50415144415431ULL;  // "OPAQDAT1"
@@ -60,6 +107,10 @@ struct DataFileHeader {
   uint32_t reserved = 0;
 };
 static_assert(sizeof(DataFileHeader) == 32);
+static_assert(offsetof(DataFileHeader, version) ==
+                  offsetof(DataFilePrefix, version) &&
+              offsetof(DataFileHeader, key_type) ==
+                  offsetof(DataFilePrefix, key_type));
 static_assert(std::is_trivially_copyable_v<DataFileHeader>);
 
 /// Untyped view of a dataset laid out as `header | raw records` on a
@@ -109,7 +160,8 @@ class TypedDataFile {
   static Result<TypedDataFile<K>> Open(BlockDevice* device) {
     auto file = DataFile::Open(device);
     if (!file.ok()) return file.status();
-    if (file->key_type() != KeyTraits<K>::kType) {
+    if (file->key_type() != KeyTraits<K>::kType ||
+        file->element_size() != sizeof(K)) {
       return Status::InvalidArgument(
           std::string("data file holds a different key type than ") +
           KeyTraits<K>::kName);

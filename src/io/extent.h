@@ -2,8 +2,10 @@
 #define OPAQ_IO_EXTENT_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -58,6 +60,10 @@ struct ExtentFileHeader {
   uint64_t directory_offset = 0; // byte offset of THIS stripe's directory
 };
 static_assert(sizeof(ExtentFileHeader) == 64);
+static_assert(offsetof(ExtentFileHeader, version) ==
+                  offsetof(DataFilePrefix, version) &&
+              offsetof(ExtentFileHeader, key_type) ==
+                  offsetof(DataFilePrefix, key_type));
 static_assert(std::is_trivially_copyable_v<ExtentFileHeader>);
 
 /// Fixed 40-byte header in front of every stored extent payload. Fully
@@ -228,6 +234,20 @@ class ExtentFile {
   std::unique_ptr<ExtentStats> stats_;
 };
 
+/// InvalidArgument unless `file` holds `K` keys: the key-type tag and the
+/// element size must both match, as reads copy `element_size` bytes per
+/// element into `K`-sized buffers. Every typed open of an extent file runs it.
+template <typename K>
+Status CheckExtentKeyType(const ExtentFile& file) {
+  if (file.key_type() != static_cast<uint32_t>(KeyTraits<K>::kType) ||
+      file.element_size() != sizeof(K)) {
+    return Status::InvalidArgument(
+        std::string("extent file holds a different key type than ") +
+        KeyTraits<K>::kName);
+  }
+  return Status::OK();
+}
+
 /// Writes `values` as an extent file over `devices` in bounded slices — the
 /// extent sibling of `WriteDataset` / `WriteStriped`. Returns the writer's
 /// pack accounting.
@@ -307,8 +327,7 @@ class ExtentFileProvider : public RunProvider<K> {
     OPAQ_CHECK(file != nullptr);
     // Key-type mismatches are caught with a clean Status by the facade
     // (Source::Open) before a provider is ever constructed.
-    OPAQ_CHECK_EQ(static_cast<uint32_t>(KeyTraits<K>::kType),
-                  file->key_type());
+    OPAQ_CHECK_OK(CheckExtentKeyType<K>(*file));
   }
 
   uint64_t size() const override { return file_->size(); }

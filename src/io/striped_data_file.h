@@ -2,6 +2,7 @@
 #define OPAQ_IO_STRIPED_DATA_FILE_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -37,6 +38,10 @@ struct StripeFileHeader {
   uint64_t total_elements = 0;
 };
 static_assert(sizeof(StripeFileHeader) == 48);
+static_assert(offsetof(StripeFileHeader, version) ==
+                  offsetof(DataFilePrefix, version) &&
+              offsetof(StripeFileHeader, key_type) ==
+                  offsetof(DataFilePrefix, key_type));
 static_assert(std::is_trivially_copyable_v<StripeFileHeader>);
 
 /// A dataset striped round-robin across D block devices — the multi-disk

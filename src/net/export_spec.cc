@@ -52,4 +52,34 @@ Result<std::vector<ExportSpecEntry>> ParseExportSpecs(
   return entries;
 }
 
+Result<DaemonEntries> ParseDaemonEntries(const Flags& flags,
+                                         const std::string& static_flag,
+                                         const std::string& live_flag) {
+  DaemonEntries entries;
+  if (flags.Has(static_flag)) {
+    auto fixed = ParseExportSpecs(flags.GetString(static_flag, ""));
+    if (!fixed.ok()) return fixed.status();
+    entries.fixed = std::move(fixed).value();
+  }
+  if (!flags.Has(live_flag)) return entries;
+  auto live = ParseExportSpecs(flags.GetString(live_flag, ""));
+  if (!live.ok()) return live.status();
+  entries.live = std::move(live).value();
+  for (const ExportSpecEntry& entry : entries.live) {
+    if (entry.paths.size() != 1) {
+      return Status::InvalidArgument(
+          "--" + live_flag + " entry '" + entry.name +
+          "': a live dataset is one directory, not a striped path list");
+    }
+    for (const ExportSpecEntry& other : entries.fixed) {
+      if (other.name == entry.name) {
+        return Status::InvalidArgument("name '" + entry.name +
+                                       "' appears in both --" + static_flag +
+                                       " and --" + live_flag);
+      }
+    }
+  }
+  return entries;
+}
+
 }  // namespace opaq

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "util/flags.h"
 #include "util/status.h"
 
 namespace opaq {
@@ -24,6 +25,21 @@ struct ExportSpecEntry {
 /// are empty names, empty path lists, and empty stripe paths.
 Result<std::vector<ExportSpecEntry>> ParseExportSpecs(
     const std::string& text);
+
+/// A daemon's two dataset lists: static datasets (`opaq_noded --export`,
+/// `opaq_queryd --serve`) and live dataset directories (`--live`,
+/// `--watch`).
+struct DaemonEntries {
+  std::vector<ExportSpecEntry> fixed;
+  std::vector<ExportSpecEntry> live;
+};
+
+/// Parses the two lists from the flags named `static_flag` and `live_flag`
+/// (either may be absent). Each live entry must name exactly one directory,
+/// and no name may appear in both lists.
+Result<DaemonEntries> ParseDaemonEntries(const Flags& flags,
+                                         const std::string& static_flag,
+                                         const std::string& live_flag);
 
 }  // namespace opaq
 

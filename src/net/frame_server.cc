@@ -223,6 +223,28 @@ void FrameServer::Serve(TcpConnection* conn) {
   }
 }
 
+std::vector<FlagSpec> ServingFlags(const char* default_port) {
+  return {
+      {"bind", "127.0.0.1", "FrameServerOptions::bind_address",
+       "IPv4 address to bind (UNAUTHENTICATED protocol: bind non-loopback "
+       "only on trusted networks)"},
+      {"port", default_port, "FrameServerOptions::port",
+       "TCP port (0 = pick an ephemeral port)", false, FlagType::kInt, 0,
+       65535},
+      {"delay-ms", "0", "FrameServerOptions::response_delay_seconds",
+       "artificial response latency in ms (bench/testing)", false,
+       FlagType::kDouble},
+      {"duration", "0", "serving time",
+       "serve this many seconds, then exit (0 = until SIGINT/SIGTERM; either "
+       "way shutdown is clean and the final stats print)",
+       false, FlagType::kDouble},
+      {"stats-interval", "0", "periodic stats dump",
+       "seconds between stats dumps to stdout (same rows `opaq_cli stats` "
+       "fetches; 0 = only the shutdown summary)",
+       false, FlagType::kDouble, 0},
+  };
+}
+
 bool ServeUntilShutdown(FrameServer* server, double duration_seconds,
                         double stats_interval_seconds, std::ostream& os) {
   if (stats_interval_seconds <= 0) {

@@ -13,6 +13,7 @@
 #include "net/socket.h"
 #include "net/wire.h"
 #include "telemetry/metrics.h"
+#include "util/command_flags.h"
 #include "util/status.h"
 
 namespace opaq {
@@ -174,6 +175,11 @@ class FrameServer {
 /// `ShutdownSignal::Install` must have succeeded first.
 bool ServeUntilShutdown(FrameServer* server, double duration_seconds,
                         double stats_interval_seconds, std::ostream& os);
+
+/// The flag-table rows every serving daemon shares: `--bind`, `--port`
+/// (default `default_port`), `--delay-ms`, and the `--duration` /
+/// `--stats-interval` that `ServeUntilShutdown` takes.
+std::vector<FlagSpec> ServingFlags(const char* default_port);
 
 }  // namespace opaq
 

@@ -6,6 +6,20 @@
 namespace opaq {
 
 namespace {
+// Recoverable refusals: the client falls back to another op for the
+// dataset, so the connection stays open.
+Status Untyped(const std::string& name) {
+  return Status::Unimplemented(
+      "dataset '" + name +
+      "' is exported untyped; this node can only serve its raw ranges, not "
+      "compute over it");
+}
+Status NotExtents(const std::string& name) {
+  return Status::Unimplemented(
+      "dataset '" + name +
+      "' is not stored as compressed extents; stream its ranges instead");
+}
+
 FrameServerOptions ToFrameOptions(const NodeServerOptions& options) {
   FrameServerOptions frame_options;
   frame_options.bind_address = options.bind_address;
@@ -26,13 +40,14 @@ NodeServer::~NodeServer() {
   Stop();
 }
 
-void NodeServer::Export(const std::string& name, ExportedDataset dataset) {
+const ExportedDataset& NodeServer::Export(const std::string& name,
+                                          ExportedDataset dataset) {
   OPAQ_CHECK(!started()) << "Export after Start: the export map is frozen "
                             "once connection threads may read it";
   OPAQ_CHECK(!name.empty()) << "exported dataset needs a name";
   OPAQ_CHECK(dataset.read != nullptr);
   OPAQ_CHECK_GT(dataset.element_size, 0u);
-  exports_[name] = std::move(dataset);
+  return exports_[name] = std::move(dataset);
 }
 
 void NodeServer::Export(const std::string& name, const DataFile* file) {
@@ -75,6 +90,15 @@ void NodeServer::PublishMetrics(MetricsRegistry* registry) {
       ->Set(static_cast<int64_t>(exports_.size()));
 }
 
+Result<const ExportedDataset*> NodeServer::FindExport(
+    const std::string& name) const {
+  auto it = exports_.find(name);
+  if (it == exports_.end()) {
+    return Status::NotFound("node exports no dataset named '" + name + "'");
+  }
+  return &it->second;
+}
+
 uint64_t NodeServer::MaxExtentsPerRead(const ExportedDataset& dataset) const {
   const uint64_t worst = sizeof(ExtentHeader) +
                          dataset.extent_elements * dataset.element_size;
@@ -90,14 +114,9 @@ bool NodeServer::HandleFrame(TcpConnection* conn, const WireFrame& frame) {
 
     case WireOp::kOpenDataset: {
       const std::string name(frame.payload.begin(), frame.payload.end());
-      auto it = exports_.find(name);
-      if (it == exports_.end()) {
-        // Recoverable: a client probing names keeps its connection.
-        return SendErrorCounted(
-            conn,
-            Status::NotFound("node exports no dataset named '" + name + "'"));
-      }
-      const ExportedDataset& dataset = it->second;
+      auto found = FindExport(name);
+      if (!found.ok()) return SendErrorCounted(conn, found.status());
+      const ExportedDataset& dataset = **found;
       WireDatasetInfo info;
       info.key_type = dataset.key_type;
       info.element_size = dataset.element_size;
@@ -121,13 +140,9 @@ bool NodeServer::HandleFrame(TcpConnection* conn, const WireFrame& frame) {
       std::memcpy(&range, frame.payload.data(), sizeof(range));
       const std::string name(frame.payload.begin() + sizeof(range),
                              frame.payload.end());
-      auto it = exports_.find(name);
-      if (it == exports_.end()) {
-        return SendErrorCounted(
-            conn,
-            Status::NotFound("node exports no dataset named '" + name + "'"));
-      }
-      const ExportedDataset& dataset = it->second;
+      auto found = FindExport(name);
+      if (!found.ok()) return SendErrorCounted(conn, found.status());
+      const ExportedDataset& dataset = **found;
       if (range.count == 0) {
         return SendErrorCounted(
             conn, Status::InvalidArgument("READ_RANGE of zero elements"));
@@ -189,22 +204,12 @@ bool NodeServer::HandleFrame(TcpConnection* conn, const WireFrame& frame) {
       std::memcpy(&request, frame.payload.data(), sizeof(request));
       const std::string name(frame.payload.begin() + sizeof(request),
                              frame.payload.end());
-      auto it = exports_.find(name);
-      if (it == exports_.end()) {
-        return SendErrorCounted(
-            conn,
-            Status::NotFound("node exports no dataset named '" + name + "'"));
-      }
-      const ExportedDataset& dataset = it->second;
-      if (!dataset.sample_runs) {
-        // Untyped export: the node cannot sample what it cannot interpret.
-        // Recoverable — the client falls back to v1 range streaming.
-        return SendErrorCounted(
-            conn, Status::Unimplemented(
-                      "dataset '" + name +
-                      "' is exported untyped; this node can only serve its "
-                      "raw ranges, not compute over it"));
-      }
+      auto found = FindExport(name);
+      if (!found.ok()) return SendErrorCounted(conn, found.status());
+      const ExportedDataset& dataset = **found;
+      // Untyped export: the node cannot sample what it cannot interpret;
+      // the client falls back to v1 range streaming.
+      if (!dataset.sample_runs) return SendErrorCounted(conn, Untyped(name));
       auto payload =
           dataset.sample_runs(request, options_.max_compute_run_bytes);
       if (!payload.ok()) {
@@ -233,20 +238,10 @@ bool NodeServer::HandleFrame(TcpConnection* conn, const WireFrame& frame) {
       const std::string name(frame.payload.begin() + sizeof(request),
                              frame.payload.begin() + sizeof(request) +
                                  request.name_len);
-      auto it = exports_.find(name);
-      if (it == exports_.end()) {
-        return SendErrorCounted(
-            conn,
-            Status::NotFound("node exports no dataset named '" + name + "'"));
-      }
-      const ExportedDataset& dataset = it->second;
-      if (!dataset.exact_pass) {
-        return SendErrorCounted(
-            conn, Status::Unimplemented(
-                      "dataset '" + name +
-                      "' is exported untyped; this node can only serve its "
-                      "raw ranges, not compute over it"));
-      }
+      auto found = FindExport(name);
+      if (!found.ok()) return SendErrorCounted(conn, found.status());
+      const ExportedDataset& dataset = **found;
+      if (!dataset.exact_pass) return SendErrorCounted(conn, Untyped(name));
       const uint64_t bracket_bytes =
           frame.payload.size() - sizeof(request) - request.name_len;
       if (bracket_bytes !=
@@ -274,20 +269,12 @@ bool NodeServer::HandleFrame(TcpConnection* conn, const WireFrame& frame) {
 
     case WireOp::kOpenExtents: {
       const std::string name(frame.payload.begin(), frame.payload.end());
-      auto it = exports_.find(name);
-      if (it == exports_.end()) {
-        return SendErrorCounted(
-            conn,
-            Status::NotFound("node exports no dataset named '" + name + "'"));
-      }
-      const ExportedDataset& dataset = it->second;
+      auto found = FindExport(name);
+      if (!found.ok()) return SendErrorCounted(conn, found.status());
+      const ExportedDataset& dataset = **found;
+      // The v4 client falls back to kReadRange streaming.
       if (dataset.extent_elements == 0) {
-        // Recoverable: the v4 client falls back to kReadRange streaming.
-        return SendErrorCounted(
-            conn, Status::Unimplemented(
-                      "dataset '" + name +
-                      "' is not stored as compressed extents; stream its "
-                      "ranges instead"));
+        return SendErrorCounted(conn, NotExtents(name));
       }
       WireExtentInfo info;
       info.key_type = dataset.key_type;
@@ -311,19 +298,11 @@ bool NodeServer::HandleFrame(TcpConnection* conn, const WireFrame& frame) {
       std::memcpy(&range, frame.payload.data(), sizeof(range));
       const std::string name(frame.payload.begin() + sizeof(range),
                              frame.payload.end());
-      auto it = exports_.find(name);
-      if (it == exports_.end()) {
-        return SendErrorCounted(
-            conn,
-            Status::NotFound("node exports no dataset named '" + name + "'"));
-      }
-      const ExportedDataset& dataset = it->second;
+      auto found = FindExport(name);
+      if (!found.ok()) return SendErrorCounted(conn, found.status());
+      const ExportedDataset& dataset = **found;
       if (dataset.extent_elements == 0) {
-        return SendErrorCounted(
-            conn, Status::Unimplemented(
-                      "dataset '" + name +
-                      "' is not stored as compressed extents; stream its "
-                      "ranges instead"));
+        return SendErrorCounted(conn, NotExtents(name));
       }
       if (range.count == 0) {
         return SendErrorCounted(
@@ -389,13 +368,9 @@ bool NodeServer::HandleFrame(TcpConnection* conn, const WireFrame& frame) {
       const std::string name(frame.payload.begin() + sizeof(request),
                              frame.payload.begin() + sizeof(request) +
                                  request.name_len);
-      auto it = exports_.find(name);
-      if (it == exports_.end()) {
-        return SendErrorCounted(
-            conn,
-            Status::NotFound("node exports no dataset named '" + name + "'"));
-      }
-      const ExportedDataset& dataset = it->second;
+      auto found = FindExport(name);
+      if (!found.ok()) return SendErrorCounted(conn, found.status());
+      const ExportedDataset& dataset = **found;
       if (!dataset.append) {
         // Recoverable: static exports stay queryable on this connection.
         return SendErrorCounted(

@@ -2,13 +2,16 @@
 #define OPAQ_NET_NODE_SERVER_H_
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "ingest/live_dataset.h"
 #include "io/data_file.h"
 #include "io/extent.h"
 #include "io/striped_data_file.h"
@@ -67,17 +70,42 @@ struct ExportedDataset {
   /// current logical element count — live exports grow, so the static
   /// `element_count` snapshot above would go stale; when bound, it
   /// overrides `element_count` for `kOpenDataset`/`kReadRange` bounds.
-  /// Both must be safe to call from concurrent connection threads (the
-  /// live bundle in `opaq_noded` serializes internally).
+  /// Both must be safe to call from concurrent connection threads
+  /// (`OpenLiveExport` serializes internally).
   std::function<Result<WireAppendAck>(const uint8_t* elements,
                                       uint64_t count)>
       append;
   std::function<uint64_t()> live_count;
   /// Optional ownership hook: keeps backing objects (devices, files) alive
-  /// for exports the caller does not keep alive itself (`opaq_noded` uses
-  /// this; the borrow-style `Export` overloads leave it empty).
+  /// for exports the caller does not keep alive itself (the typed `Export`
+  /// overloads take it as `owner`; borrowed exports leave it empty).
   std::shared_ptr<void> owner;
 };
+
+/// A typed export's geometry plus its v2 compute hooks — the one place the
+/// hooks are bound. `provider()` returns (a pointer-like handle to) the
+/// `RunProvider<K>` a request computes over, fresh per request: a file
+/// export makes a provider over its file, a live export hands out its
+/// current read snapshot, so a request finishes on the data it started
+/// with.
+template <typename K, typename ProviderFn>
+ExportedDataset TypedExport(uint64_t element_count, ProviderFn provider) {
+  ExportedDataset dataset;
+  dataset.key_type = static_cast<uint32_t>(KeyTraits<K>::kType);
+  dataset.element_size = sizeof(K);
+  dataset.element_count = element_count;
+  dataset.sample_runs = [provider](const WireSampleRunsRequest& request,
+                                   uint64_t max_run_bytes) {
+    return NodeSampleRuns<K>(*provider(), request, max_run_bytes);
+  };
+  dataset.exact_pass = [provider](const WireExactPassRequest& request,
+                                  const uint8_t* bracket_bytes,
+                                  uint64_t max_run_bytes) {
+    return NodeExactPass<K>(*provider(), request, bracket_bytes,
+                            max_run_bytes);
+  };
+  return dataset;
+}
 
 struct NodeServerOptions {
   /// IPv4 literal to bind. The protocol is unauthenticated, so the default
@@ -132,95 +160,56 @@ class NodeServer : public FrameServer {
   explicit NodeServer(NodeServerOptions options = NodeServerOptions());
   ~NodeServer() override;
 
-  /// Registers `dataset` under `name` (before `Start` only).
-  void Export(const std::string& name, ExportedDataset dataset);
+  /// Registers `dataset` under `name` (before `Start` only) and returns
+  /// the registered copy.
+  const ExportedDataset& Export(const std::string& name,
+                                ExportedDataset dataset);
 
-  /// Exports a typed plain data file, borrowed (caller keeps it alive).
-  /// Typed exports are full compute nodes: the v2 `kSampleRuns` /
-  /// `kExactPass` hooks run over the same `FileRunProvider` local mode
-  /// uses (sync and async alike).
+  /// Exports a typed plain data file. Typed exports are full compute
+  /// nodes: the v2 `kSampleRuns` / `kExactPass` hooks run over the same
+  /// `FileRunProvider` local mode uses (sync and async alike). The file is
+  /// borrowed unless `owner` keeps it (and its devices) alive — what
+  /// `opaq_noded` passes for the files it opens. Returns the registered
+  /// export.
   template <typename K>
-  void Export(const std::string& name, const TypedDataFile<K>* file) {
-    OPAQ_CHECK(file != nullptr);
-    ExportedDataset dataset;
-    dataset.key_type = static_cast<uint32_t>(KeyTraits<K>::kType);
-    dataset.element_size = sizeof(K);
-    dataset.element_count = file->size();
-    dataset.read = [file](uint64_t first, uint64_t count, void* out) {
-      return file->Read(first, count, static_cast<K*>(out));
-    };
-    dataset.sample_runs = [file](const WireSampleRunsRequest& request,
-                                 uint64_t max_run_bytes) {
-      return NodeSampleRuns<K>(FileRunProvider<K>(file), request,
-                               max_run_bytes);
-    };
-    dataset.exact_pass = [file](const WireExactPassRequest& request,
-                                const uint8_t* bracket_bytes,
-                                uint64_t max_run_bytes) {
-      return NodeExactPass<K>(FileRunProvider<K>(file), request,
-                              bracket_bytes, max_run_bytes);
-    };
-    Export(name, std::move(dataset));
+  const ExportedDataset& Export(const std::string& name,
+                                const TypedDataFile<K>* file,
+                                std::shared_ptr<void> owner = nullptr) {
+    return ExportFile<K, FileRunProvider<K>>(name, file, std::move(owner));
   }
 
-  /// Exports a striped multi-disk data file, borrowed. The node gathers
-  /// across stripes locally and serves one flat logical element space — a
-  /// client cannot tell (and need not care) how a node lays its data out.
-  /// Compute requests drive the striped readers directly (kAsync = one
-  /// thread per stripe), so node-side sampling enjoys the full array
-  /// bandwidth.
+  /// Exports a striped multi-disk data file (borrowed unless `owner`). The
+  /// node gathers across stripes locally and serves one flat logical
+  /// element space — a client cannot tell (and need not care) how a node
+  /// lays its data out. Compute requests drive the striped readers
+  /// directly (kAsync = one thread per stripe), so node-side sampling
+  /// enjoys the full array bandwidth.
   template <typename K>
-  void Export(const std::string& name, const StripedDataFile<K>* file) {
-    OPAQ_CHECK(file != nullptr);
-    ExportedDataset dataset;
-    dataset.key_type = static_cast<uint32_t>(KeyTraits<K>::kType);
-    dataset.element_size = sizeof(K);
-    dataset.element_count = file->size();
-    dataset.read = [file](uint64_t first, uint64_t count, void* out) {
-      return file->Read(first, count, static_cast<K*>(out));
-    };
-    dataset.sample_runs = [file](const WireSampleRunsRequest& request,
-                                 uint64_t max_run_bytes) {
-      return NodeSampleRuns<K>(StripedFileProvider<K>(file), request,
-                               max_run_bytes);
-    };
-    dataset.exact_pass = [file](const WireExactPassRequest& request,
-                                const uint8_t* bracket_bytes,
-                                uint64_t max_run_bytes) {
-      return NodeExactPass<K>(StripedFileProvider<K>(file), request,
-                              bracket_bytes, max_run_bytes);
-    };
-    Export(name, std::move(dataset));
+  const ExportedDataset& Export(const std::string& name,
+                                const StripedDataFile<K>* file,
+                                std::shared_ptr<void> owner = nullptr) {
+    return ExportFile<K, StripedFileProvider<K>>(name, file,
+                                                 std::move(owner));
   }
 
-  /// Exports a compressed extent file, borrowed. Serves all four client
-  /// generations of the same logical dataset: v1 `kReadRange` decodes
-  /// node-side (`ExtentFile::ReadElements`), v2 compute runs over the
+  /// Exports a compressed extent file, plain or striped (borrowed unless
+  /// `owner`). Serves all four client generations of the same logical
+  /// dataset: v1 `kReadRange` decodes node-side
+  /// (`ExtentFile::ReadElements`), v2 compute runs over the
   /// extent-decoding provider, and v4 `kReadExtents` ships the stored
   /// extents verbatim so the wire carries packed bytes and the client
   /// decodes on its own streaming thread.
   template <typename K>
-  void Export(const std::string& name, const ExtentFile* file) {
+  const ExportedDataset& Export(const std::string& name,
+                                const ExtentFile* file,
+                                std::shared_ptr<void> owner = nullptr) {
     OPAQ_CHECK(file != nullptr);
-    OPAQ_CHECK_EQ(static_cast<uint32_t>(KeyTraits<K>::kType),
-                  file->key_type());
-    ExportedDataset dataset;
-    dataset.key_type = file->key_type();
-    dataset.element_size = file->element_size();
-    dataset.element_count = file->size();
+    OPAQ_CHECK_OK(CheckExtentKeyType<K>(*file));
+    ExportedDataset dataset = TypedExport<K>(file->size(), [file] {
+      return std::make_unique<ExtentFileProvider<K>>(file);
+    });
     dataset.read = [file](uint64_t first, uint64_t count, void* out) {
       return file->ReadElements(first, count, out);
-    };
-    dataset.sample_runs = [file](const WireSampleRunsRequest& request,
-                                 uint64_t max_run_bytes) {
-      return NodeSampleRuns<K>(ExtentFileProvider<K>(file), request,
-                               max_run_bytes);
-    };
-    dataset.exact_pass = [file](const WireExactPassRequest& request,
-                                const uint8_t* bracket_bytes,
-                                uint64_t max_run_bytes) {
-      return NodeExactPass<K>(ExtentFileProvider<K>(file), request,
-                              bracket_bytes, max_run_bytes);
     };
     dataset.extent_elements = file->extent_elements();
     dataset.num_extents = file->num_extents();
@@ -232,11 +221,13 @@ class NodeServer : public FrameServer {
       out->insert(out->end(), stored.begin(), stored.end());
       return Status::OK();
     };
-    Export(name, std::move(dataset));
+    dataset.owner = std::move(owner);
+    return Export(name, std::move(dataset));
   }
 
-  /// Exports an untyped data file, borrowed (what `opaq_noded` uses for
-  /// plain files: any key type without template dispatch).
+  /// Exports an untyped data file, borrowed: any key type without template
+  /// dispatch, but range streaming only — the node answers the v2 compute
+  /// ops with Unimplemented, so clients fall back to v1 streaming.
   void Export(const std::string& name, const DataFile* file);
 
  protected:
@@ -248,6 +239,25 @@ class NodeServer : public FrameServer {
   void PublishMetrics(MetricsRegistry* registry) override;
 
  private:
+  /// The plain and striped exports: typed element reads plus the compute
+  /// hooks over a `Provider` made per request.
+  template <typename K, typename Provider, typename File>
+  const ExportedDataset& ExportFile(const std::string& name, const File* file,
+                                    std::shared_ptr<void> owner) {
+    OPAQ_CHECK(file != nullptr);
+    ExportedDataset dataset = TypedExport<K>(
+        file->size(), [file] { return std::make_unique<Provider>(file); });
+    dataset.read = [file](uint64_t first, uint64_t count, void* out) {
+      return file->Read(first, count, static_cast<K*>(out));
+    };
+    dataset.owner = std::move(owner);
+    return Export(name, std::move(dataset));
+  }
+
+  /// The export named `name`, or NotFound — recoverable: a client probing
+  /// names keeps its connection.
+  Result<const ExportedDataset*> FindExport(const std::string& name) const;
+
   /// Per-request `kReadExtents` bound for one extent export: as many
   /// extents as fit `max_read_bytes` at the worst-case stored size (header
   /// + unpacked payload — the no-expansion invariant's ceiling), never
@@ -259,6 +269,73 @@ class NodeServer : public FrameServer {
   NodeServerOptions options_;
   std::map<std::string, ExportedDataset> exports_;
 };
+
+/// A live export's shared state. Appends serialize under `writer_mutex`
+/// (the wire delivers them from concurrent connection threads); every
+/// committed append reopens a read snapshot and swaps it in under
+/// `snapshot_mutex`, so in-flight reads/computes finish on the snapshot
+/// they started with — the same epoch discipline as `QueryServer`'s
+/// refresh — and new requests see the new segment immediately.
+template <typename K>
+struct LiveExportState {
+  std::mutex writer_mutex;
+  std::unique_ptr<LiveDataset<K>> writer;
+  std::mutex snapshot_mutex;
+  std::shared_ptr<const LiveDatasetReader<K>> snapshot;
+
+  std::shared_ptr<const LiveDatasetReader<K>> Snapshot() {
+    std::lock_guard<std::mutex> lock(snapshot_mutex);
+    return snapshot;
+  }
+};
+
+/// Opens the live (appendable) dataset directory `dir` as a typed export
+/// (`opaq_noded --live`): the usual read/compute hooks over the current
+/// snapshot, plus the v5 `append` hook and a `live_count` that tracks
+/// growth. The dataset must already exist, so a typo'd path fails loudly
+/// instead of silently serving a fresh empty dataset. The returned export
+/// owns the writer and its snapshots.
+template <typename K>
+Result<ExportedDataset> OpenLiveExport(const std::string& dir) {
+  auto state = std::make_shared<LiveExportState<K>>();
+  auto writer = LiveDataset<K>::Open(dir);
+  if (!writer.ok()) return writer.status();
+  state->writer = std::make_unique<LiveDataset<K>>(std::move(writer).value());
+  auto reader = LiveDatasetReader<K>::Open(dir);
+  if (!reader.ok()) return reader.status();
+  state->snapshot = std::make_shared<const LiveDatasetReader<K>>(
+      std::move(reader).value());
+
+  ExportedDataset dataset = TypedExport<K>(
+      state->snapshot->size(), [state] { return state->Snapshot(); });
+  dataset.read = [state](uint64_t first, uint64_t count, void* out) {
+    return state->Snapshot()->Read(first, count, static_cast<K*>(out));
+  };
+  dataset.live_count = [state]() { return state->Snapshot()->size(); };
+  dataset.append = [state, dir](const uint8_t* elements,
+                                uint64_t count) -> Result<WireAppendAck> {
+    std::lock_guard<std::mutex> writer_lock(state->writer_mutex);
+    std::vector<K> values(count);
+    std::memcpy(values.data(), elements, count * sizeof(K));
+    OPAQ_RETURN_IF_ERROR(state->writer->Append(values));
+    // The segment is durable; fold it into the read snapshot before
+    // acking so a reader that acts on the ack already sees its data.
+    auto reader = LiveDatasetReader<K>::Open(dir);
+    if (!reader.ok()) return reader.status();
+    auto snapshot = std::make_shared<const LiveDatasetReader<K>>(
+        std::move(reader).value());
+    {
+      std::lock_guard<std::mutex> snapshot_lock(state->snapshot_mutex);
+      state->snapshot = std::move(snapshot);
+    }
+    WireAppendAck ack;
+    ack.total_elements = state->writer->total_elements();
+    ack.num_segments = state->writer->num_segments();
+    return ack;
+  };
+  dataset.owner = state;
+  return dataset;
+}
 
 }  // namespace opaq
 

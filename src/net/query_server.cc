@@ -44,23 +44,27 @@ Status QueryServer::ValidateStart() {
   return Status::OK();
 }
 
-Status QueryServer::Refresh(const std::string& name) {
-  auto it = sessions_.find(name);
-  if (it == sessions_.end()) {
-    return Status::NotFound("query server serves no session named '" + name +
-                            "'");
-  }
-  return it->second->Rebuild();
-}
-
-Result<WireSessionInfo> QueryServer::SessionInfo(
+Result<QueryServer::SessionBase*> QueryServer::FindSession(
     const std::string& name) const {
   auto it = sessions_.find(name);
   if (it == sessions_.end()) {
     return Status::NotFound("query server serves no session named '" + name +
                             "'");
   }
-  return it->second->Info();
+  return it->second.get();
+}
+
+Status QueryServer::Refresh(const std::string& name) {
+  auto session = FindSession(name);
+  if (!session.ok()) return session.status();
+  return (*session)->Rebuild();
+}
+
+Result<WireSessionInfo> QueryServer::SessionInfo(
+    const std::string& name) const {
+  auto session = FindSession(name);
+  if (!session.ok()) return session.status();
+  return (*session)->Info();
 }
 
 void QueryServer::PublishMetrics(MetricsRegistry* registry) {
@@ -88,15 +92,12 @@ bool QueryServer::HandleFrame(TcpConnection* conn, const WireFrame& frame) {
     }
 
     case WireOp::kOpenSession: {
-      const std::string name(frame.payload.begin(), frame.payload.end());
-      auto it = sessions_.find(name);
-      if (it == sessions_.end()) {
-        // Recoverable: a client probing names keeps its connection.
-        return SendErrorCounted(
-            conn, Status::NotFound("query server serves no session named '" +
-                                   name + "'"));
-      }
-      WireSessionInfo info = it->second->Info();
+      // An unknown name is recoverable: a client probing names keeps its
+      // connection.
+      auto session = FindSession(
+          std::string(frame.payload.begin(), frame.payload.end()));
+      if (!session.ok()) return SendErrorCounted(conn, session.status());
+      WireSessionInfo info = (*session)->Info();
       return SendCounted(conn, WireOp::kSessionInfo, &info, sizeof(info));
     }
 
@@ -110,14 +111,10 @@ bool QueryServer::HandleFrame(TcpConnection* conn, const WireFrame& frame) {
         SendErrorCounted(conn, decoded.status());
         return decoded.status().code() != StatusCode::kIoError;
       }
-      auto it = sessions_.find(decoded->second);
-      if (it == sessions_.end()) {
-        return SendErrorCounted(
-            conn, Status::NotFound("query server serves no session named '" +
-                                   decoded->second + "'"));
-      }
+      auto session = FindSession(decoded->second);
+      if (!session.ok()) return SendErrorCounted(conn, session.status());
       const uint64_t start_ns = FlightRecorder::NowNs();
-      auto answer = it->second->Answer(frame.payload.data(),
+      auto answer = (*session)->Answer(frame.payload.data(),
                                        frame.payload.size(), decoded->first);
       MetricsRegistry* registry = metrics_registry();
       if (registry->enabled()) {

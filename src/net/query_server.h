@@ -16,10 +16,13 @@
 #include <utility>
 #include <vector>
 
+#include "ingest/live_dataset.h"
 #include "io/data_file.h"
 #include "net/frame_server.h"
 #include "net/wire_query.h"
+#include "opaq/engine.h"
 #include "opaq/query.h"
+#include "opaq/source.h"
 #include "telemetry/trace.h"
 #include "util/status.h"
 
@@ -75,8 +78,8 @@ class QueryServer : public FrameServer {
   ///
   /// An optional `refresher` makes refreshes INCREMENTAL: given the
   /// serving session, it returns the next epoch's session (typically by
-  /// sketching only newly ingested data and `Absorb`ing it — `opaq_queryd
-  /// --watch` live sessions do). `Refresh` prefers it and falls back to
+  /// sketching only newly ingested data and `Absorb`ing it — `ServeLive`
+  /// sessions do). `Refresh` prefers it and falls back to
   /// the full `builder` when it fails, so a refresher may simply error on
   /// conditions it cannot handle (e.g. the dataset shrank). Epoch 1 always
   /// comes from the builder.
@@ -98,6 +101,54 @@ class QueryServer : public FrameServer {
     OPAQ_RETURN_IF_ERROR(session->Rebuild());
     sessions_[name] = std::move(session);
     return Status::OK();
+  }
+
+  /// Registers a LIVE session over the live dataset directory `dir`
+  /// (`opaq_queryd --watch`). The builder sketches the whole live dataset
+  /// (epoch 1 and the full-rebuild fallback); the refresher is INCREMENTAL
+  /// — it sketches only the segments appended since the serving epoch and
+  /// `Absorb`s their sample list into a copy of the session (associative
+  /// merge, byte-identical to a full rebuild), so a refresh costs one pass
+  /// over the delta, not the dataset. A dataset that shrank below the
+  /// serving session (recreated) fails the refresher with
+  /// FailedPrecondition, which `Refresh` answers with a full rebuild.
+  /// Only the element count is compared: a directory recreated with at
+  /// least as many elements is NOT detected and is served as the old
+  /// sketch plus a tail, so recreate it under a new name or restart.
+  template <typename K>
+  Status ServeLive(const std::string& name, const std::string& dir,
+                   const OpaqConfig& config) {
+    auto builder = [dir, config]() -> Result<QuerySession<K>> {
+      auto source = Source<K>::OpenLive(dir);
+      if (!source.ok()) return source.status();
+      return Engine<K>(config, std::move(source).value()).Build();
+    };
+    auto refresher = [dir, config](const QuerySession<K>& current)
+        -> Result<QuerySession<K>> {
+      auto info = ReadLiveManifestInfo(dir);
+      if (!info.ok()) return info.status();
+      const uint64_t have = current.total_elements();
+      if (info->total_elements == have) {
+        return current;  // no new segments; re-serve the same sketch
+      }
+      if (info->total_elements < have) {
+        return Status::FailedPrecondition(
+            "live dataset shrank below the serving session (recreated?); "
+            "needs a full rebuild");
+      }
+      // `have` is a segment boundary (appends commit whole segments), so
+      // the tail's run grid equals sketching the new segments alone and
+      // the merge below is byte-identical to a from-scratch rebuild.
+      auto tail = Source<K>::OpenLive(dir, have);
+      if (!tail.ok()) return tail.status();
+      auto delta = Engine<K>(config, *tail).Build();
+      if (!delta.ok()) return delta.status();
+      QuerySession<K> next = current;
+      OPAQ_RETURN_IF_ERROR(
+          next.Absorb(delta->sample_list(), {std::move(tail).value()}));
+      return next;
+    };
+    return Serve<K>(name, std::move(builder), std::move(refresher));
   }
 
   /// Rebuilds `name`'s session via its builder and swaps it in (epoch + 1).
@@ -311,6 +362,9 @@ class QueryServer : public FrameServer {
       return answers;
     }
   };
+
+  /// The session named `name`, or NotFound.
+  Result<SessionBase*> FindSession(const std::string& name) const;
 
   QueryServerOptions options_;
   std::map<std::string, std::unique_ptr<SessionBase>> sessions_;

@@ -6,10 +6,9 @@
 #include <vector>
 
 #include "core/estimator.h"
+#include "core/exact.h"
 #include "io/run_reader.h"
 #include "parallel/collectives.h"
-#include "select/select.h"
-#include "util/random.h"
 #include "util/status.h"
 
 namespace opaq {
@@ -37,47 +36,18 @@ Result<std::vector<K>> ParallelExactQuantiles(
     ProcessorContext& ctx, const RunProvider<K>& local_data,
     const std::vector<QuantileEstimate<K>>& estimates,
     const ReadOptions& options, uint64_t local_memory_budget = 0) {
-  for (const auto& e : estimates) {
-    if (e.lower_clamped || e.upper_clamped) {
-      return Status::FailedPrecondition(
-          "an estimate's bounds were clamped; its bracket is not certified");
-    }
-  }
-  if (local_memory_budget == 0 && !estimates.empty()) {
-    local_memory_budget =
-        4 * estimates.size() * estimates.front().max_rank_error;
+  // `estimates` are identical on every rank, so every rank takes the same
+  // early exits here and no collective below is left waiting.
+  OPAQ_RETURN_IF_ERROR(internal_exact::ValidateBrackets(estimates));
+  if (estimates.empty()) return std::vector<K>{};
+  if (local_memory_budget == 0) {
+    local_memory_budget = internal_exact::DefaultExactBudget(estimates);
   }
 
   // Local pass: below-counts and kept elements per bracket.
-  std::vector<uint64_t> below(estimates.size(), 0);
-  std::vector<std::vector<K>> kept(estimates.size());
-  uint64_t held = 0;
-  Status local_status;
-  {
-    std::vector<K> buffer;
-    std::unique_ptr<RunSource<K>> reader = local_data.OpenRuns(options);
-    while (local_status.ok()) {
-      auto more = reader->NextRun(&buffer);
-      if (!more.ok()) {
-        local_status = more.status();
-        break;
-      }
-      if (!*more) break;
-      for (const K& v : buffer) {
-        for (size_t q = 0; q < estimates.size(); ++q) {
-          if (v < estimates[q].lower) {
-            ++below[q];
-          } else if (!(estimates[q].upper < v)) {
-            kept[q].push_back(v);
-            if (++held > local_memory_budget) {
-              local_status = Status::ResourceExhausted(
-                  "brackets exceed the local memory budget");
-            }
-          }
-        }
-      }
-    }
-  }
+  internal_exact::BracketAccumulator<K> local(estimates.size());
+  const Status local_status = internal_exact::AccumulateBrackets(
+      local_data, estimates, options, local_memory_budget, &local);
 
   // Health check before any blocking exchange (same pattern as
   // RunParallelOpaq): all ranks abort together if any local pass failed.
@@ -93,31 +63,20 @@ Result<std::vector<K>> ParallelExactQuantiles(
     }
   }
 
-  // Combine: total below-counts everywhere, kept elements at root.
-  std::vector<uint64_t> below_total =
-      collectives::AllReduceSumU64(ctx, below);
-  std::vector<K> out;
+  // Combine at the root: total below-counts and every shard's kept
+  // elements merged into one accumulator, then the same selection the
+  // single-source pass runs.
+  internal_exact::BracketAccumulator<K> merged(estimates.size());
+  merged.below = collectives::AllReduceSumU64(ctx, local.below);
   for (size_t q = 0; q < estimates.size(); ++q) {
     std::vector<std::vector<K>> shards =
-        collectives::GatherVectors(ctx, 0, kept[q]);
-    if (ctx.rank() != 0) continue;
-    std::vector<K> all;
+        collectives::GatherVectors(ctx, 0, local.kept[q]);
     for (auto& shard : shards) {
-      all.insert(all.end(), shard.begin(), shard.end());
+      merged.kept[q].insert(merged.kept[q].end(), shard.begin(), shard.end());
     }
-    const QuantileEstimate<K>& e = estimates[q];
-    if (e.target_rank <= below_total[q] ||
-        e.target_rank > below_total[q] + all.size()) {
-      return Status::Internal(
-          "target rank falls outside its bracket; estimates must come from "
-          "these exact shards");
-    }
-    Xoshiro256 rng(e.target_rank);
-    out.push_back(SelectKth(all.data(), all.size(),
-                            e.target_rank - below_total[q] - 1,
-                            SelectAlgorithm::kIntroSelect, rng));
   }
-  return out;
+  if (ctx.rank() != 0) return std::vector<K>{};
+  return internal_exact::SelectWithinBrackets(estimates, &merged);
 }
 
 }  // namespace opaq

@@ -29,9 +29,10 @@
 // `--remote=host:port/ds[,host2:port2/ds2,...]` instead of `--data`, with
 // several specs forming one multi-shard Engine run (one shard per node).
 //
-// Every subcommand's flags live in ONE table (kCommands below) that drives
-// flag lookup defaults, unknown-flag rejection, and the generated --help
-// text, so the three can never drift apart.
+// Every subcommand's flags live in ONE table (kCommands below, built from
+// the library's `CommandSpec`, which opaq_noded and opaq_queryd use too)
+// that drives flag lookup defaults, unknown-flag rejection, and the
+// generated --help text, so the three can never drift apart.
 
 #include <cstdlib>
 #include <cstring>
@@ -52,26 +53,6 @@ using Request = QueryRequest<Key>;
 
 // ------------------------------------------------------------ flag table ----
 
-/// How a flag's text value must parse. Typed entries are pre-validated by
-/// `ValidateFlags` before any handler runs, so `--n=` or `--budget=lots`
-/// is a usage error (help + exit 2), never an abort inside a getter.
-enum class FlagType { kString, kInt, kDouble };
-
-/// One flag of one subcommand: its name (dash style), its default as text
-/// ("" = no default), the config field or call it maps to, a one-line
-/// description, whether the command refuses to run without it, and how its
-/// value must parse. This table is the single source of truth — lookup
-/// defaults, validation, and --help are all generated from it.
-struct FlagSpec {
-  const char* name;
-  const char* def;
-  const char* maps_to;
-  const char* help;
-  bool required = false;
-  FlagType type = FlagType::kString;
-};
-
-class CommandFlags;
 int CmdGenerate(const CommandFlags& flags);
 int CmdAppend(const CommandFlags& flags);
 int CmdSketch(const CommandFlags& flags);
@@ -81,20 +62,6 @@ int CmdRank(const CommandFlags& flags);
 int CmdMerge(const CommandFlags& flags);
 int CmdInspect(const CommandFlags& flags);
 int CmdStats(const CommandFlags& flags);
-
-struct CommandSpec {
-  const char* name;
-  const char* summary;
-  const char* positional;  // e.g. "IN1 IN2 [IN3 ...]"; nullptr if none
-  std::vector<FlagSpec> flags;
-  int (*run)(const CommandFlags& flags) = nullptr;
-};
-
-std::vector<FlagSpec> Concat(std::vector<FlagSpec> a,
-                             const std::vector<FlagSpec>& b) {
-  a.insert(a.end(), b.begin(), b.end());
-  return a;
-}
 
 /// Striping flags shared by every command that opens/creates a dataset.
 std::vector<FlagSpec> StripeFlags() {
@@ -160,7 +127,7 @@ std::vector<FlagSpec> IoFlags() {
 
 const std::vector<CommandSpec>& Commands() {
   static const std::vector<CommandSpec> kCommands = {
-      {"generate",
+      {"opaq", "generate",
        "write a synthetic dataset to a data file (or striped file set)",
        nullptr,
        Concat(
@@ -189,7 +156,7 @@ const std::vector<CommandSpec>& Commands() {
            },
            Concat(ExtentFlags(), StripeFlags())),
        CmdGenerate},
-      {"append",
+      {"opaq", "append",
        "append a synthetic batch to a live (appendable) dataset as one "
        "durable segment",
        nullptr,
@@ -217,7 +184,7 @@ const std::vector<CommandSpec>& Commands() {
             "(local --live only; segments mix freely with plain ones)"},
        },
        CmdAppend},
-      {"sketch",
+      {"opaq", "sketch",
        "one-pass sample phase: stream a dataset into a persistent sketch",
        nullptr,
        Concat(
@@ -235,7 +202,7 @@ const std::vector<CommandSpec>& Commands() {
            Concat(RemoteFlags(),
                   Concat(IoFlags(), Concat(ExtentFlags(), StripeFlags())))),
        CmdSketch},
-      {"quantile",
+      {"opaq", "quantile",
        "certified quantile brackets from a sketch (no data access)",
        nullptr,
        {
@@ -247,7 +214,7 @@ const std::vector<CommandSpec>& Commands() {
             FlagType::kInt},
        },
        CmdQuantile},
-      {"exact",
+      {"opaq", "exact",
        "recover exact quantile values with one extra data pass (paper §4)",
        nullptr,
        Concat(
@@ -268,7 +235,7 @@ const std::vector<CommandSpec>& Commands() {
            Concat(RemoteFlags(),
                   Concat(IoFlags(), Concat(ExtentFlags(), StripeFlags())))),
        CmdExact},
-      {"rank",
+      {"opaq", "rank",
        "certified rank bracket of an arbitrary value (no data access)",
        nullptr,
        {
@@ -277,7 +244,7 @@ const std::vector<CommandSpec>& Commands() {
             true, FlagType::kInt},
        },
        CmdRank},
-      {"merge",
+      {"opaq", "merge",
        "fold several sketches into one (incremental maintenance, paper §4)",
        "IN1 IN2 [IN3 ...]",
        {
@@ -285,14 +252,14 @@ const std::vector<CommandSpec>& Commands() {
             true},
        },
        CmdMerge},
-      {"inspect",
+      {"opaq", "inspect",
        "print a sketch's accounting and certificates",
        nullptr,
        {
            {"sketch", "", "input sketch file", "sketch to describe", true},
        },
        CmdInspect},
-      {"stats",
+      {"opaq", "stats",
        "fetch a live daemon's metrics snapshot over the wire (v6 STATS)",
        "HOST:PORT",
        {
@@ -305,121 +272,15 @@ const std::vector<CommandSpec>& Commands() {
   return kCommands;
 }
 
-/// Flag access bound to one command's table: defaults come from the table,
-/// and asking for a flag the table does not declare dies loudly (catching
-/// code/table drift in the smoke tests).
-class CommandFlags {
- public:
-  CommandFlags(const Flags& flags, const CommandSpec& spec)
-      : flags_(flags), spec_(spec) {}
-
-  int64_t GetInt(const char* name) const {
-    return flags_.GetInt(name, std::strtoll(Spec(name).def, nullptr, 10));
-  }
-  double GetDouble(const char* name) const {
-    return flags_.GetDouble(name, std::strtod(Spec(name).def, nullptr));
-  }
-  std::string GetString(const char* name) const {
-    return flags_.GetString(name, Spec(name).def);
-  }
-  bool Has(const char* name) const {
-    Spec(name);  // declared?
-    return flags_.Has(name);
-  }
-  const Flags& raw() const { return flags_; }
-
- private:
-  const FlagSpec& Spec(const char* name) const {
-    const FlagSpec* found = nullptr;
-    for (const FlagSpec& flag : spec_.flags) {
-      if (std::strcmp(flag.name, name) == 0) found = &flag;
-    }
-    OPAQ_CHECK(found != nullptr)
-        << "flag --" << name << " is not in command '" << spec_.name
-        << "'s flag table";
-    return *found;
-  }
-
-  const Flags& flags_;
-  const CommandSpec& spec_;
-};
-
-/// Rejects flags the command's table does not declare, refuses to run
-/// without the table's required flags, and parse-checks every provided
-/// numeric value — up front, before any data access, so the CommandFlags
-/// getters below can never abort on user input.
-Status ValidateFlags(const Flags& flags, const CommandSpec& spec) {
-  for (const std::string& key : flags.keys()) {
-    if (key == "help") continue;
-    bool known = false;
-    for (const FlagSpec& flag : spec.flags) {
-      if (key == flag.name) known = true;
-    }
-    if (!known) {
-      return Status::InvalidArgument(
-          "unknown flag --" + key + " for '" + spec.name +
-          "'; see: opaq " + spec.name + " --help");
-    }
-  }
-  for (const FlagSpec& flag : spec.flags) {
-    if (flag.required && !flags.Has(flag.name)) {
-      return Status::InvalidArgument(
-          "'" + std::string(spec.name) + "' needs --" + flag.name + " (" +
-          flag.maps_to + "); see: opaq " + spec.name + " --help");
-    }
-    if (!flags.Has(flag.name)) continue;
-    if (flag.type == FlagType::kInt) {
-      auto value = flags.TryGetInt(flag.name, 0);
-      if (!value.ok()) return value.status();
-    } else if (flag.type == FlagType::kDouble) {
-      auto value = flags.TryGetDouble(flag.name, 0.0);
-      if (!value.ok()) return value.status();
-    }
-  }
-  // positional()[0] is the command itself; anything further is only legal
-  // for commands whose spec declares positionals (merge's input sketches).
-  if (spec.positional == nullptr && flags.positional().size() > 1) {
-    return Status::InvalidArgument(
-        "'" + std::string(spec.name) + "' takes no positional arguments "
-        "(got '" + flags.positional()[1] + "'); did you mean a --flag? "
-        "see: opaq " + spec.name + " --help");
-  }
-  return Status::OK();
-}
-
-void PrintCommandHelp(const CommandSpec& spec, std::ostream& os) {
-  os << "usage: opaq " << spec.name;
-  if (!spec.flags.empty()) os << " [flags]";
-  if (spec.positional != nullptr) os << " " << spec.positional;
-  os << "\n  " << spec.summary << "\n";
-  if (spec.flags.empty()) return;
-  os << "\nflags (default -> what it sets):\n";
-  size_t width = 0;
-  auto label = [](const FlagSpec& flag) {
-    return "--" + std::string(flag.name) + "=" +
-           (flag.def[0] == '\0' ? "..." : flag.def);
-  };
-  for (const FlagSpec& flag : spec.flags) {
-    width = std::max(width, label(flag).size());
-  }
-  for (const FlagSpec& flag : spec.flags) {
-    std::string head = label(flag);
-    os << "  " << head << std::string(width - head.size() + 2, ' ')
-       << flag.maps_to
-       << (flag.required ? "  (required)" : "") << "\n"
-       << std::string(width + 4, ' ') << flag.help << "\n";
-  }
-}
-
 int Usage(std::ostream& os = std::cerr, int code = 2) {
   os << "usage: opaq <command> [flags]\n\ncommands:\n";
   size_t width = 0;
   for (const CommandSpec& spec : Commands()) {
-    width = std::max(width, std::string(spec.name).size());
+    width = std::max(width, std::string(spec.command).size());
   }
   for (const CommandSpec& spec : Commands()) {
-    os << "  " << spec.name
-       << std::string(width - std::string(spec.name).size() + 2, ' ')
+    os << "  " << spec.command
+       << std::string(width - std::string(spec.command).size() + 2, ' ')
        << spec.summary << "\n";
   }
   os << "\nrun `opaq <command> --help` for that command's flag table.\n"
@@ -1017,7 +878,7 @@ int Main(int argc, char** argv) {
   if (command == "help") return Usage(std::cout, 0);
   const CommandSpec* spec = nullptr;
   for (const CommandSpec& candidate : Commands()) {
-    if (command == candidate.name) spec = &candidate;
+    if (command == candidate.command) spec = &candidate;
   }
   if (spec == nullptr) {
     std::cerr << "unknown command: " << command << "\n";
@@ -1028,13 +889,7 @@ int Main(int argc, char** argv) {
     return 0;
   }
   Status valid = ValidateFlags(*flags, *spec);
-  if (!valid.ok()) {
-    // Bad input is usage, not an internal error: name the problem, show the
-    // command's flag table, and exit 2 like the daemons do.
-    std::cerr << "error: " << valid.message() << "\n\n";
-    PrintCommandHelp(*spec, std::cerr);
-    return 2;
-  }
+  if (!valid.ok()) return UsageError(valid, *spec);
   CommandFlags command_flags(*flags, *spec);
   // The handler lives in the same table as the flags and help text, so a
   // new command cannot be added without its dispatch.

@@ -8,7 +8,9 @@
 // still stream raw ranges. Extent exports additionally answer the v4
 // `kReadExtents` op: the stored (packed) extents ship verbatim and the
 // client decodes, so compression cuts bytes-on-wire too. The on-disk
-// format is sniffed per export — point --export at any OPAQ file.
+// format and key type are read from each export's header — point --export
+// at any OPAQ file; `NodeServer`'s typed `Export` overloads bind the
+// compute hooks, so this file only opens files and prints.
 //
 //   opaq_noded --export=sales=/data/sales.opaq --port=34601
 //   opaq_noded --export=logs=/d0/l.s0+/d1/l.s1+/d2/l.s2   # striped dataset
@@ -20,21 +22,16 @@
 // names are a startup error. The node prints one line per dataset plus its
 // bound address, then serves until SIGINT/SIGTERM (or for --duration
 // seconds, for scripted runs); shutdown is ordered — every connection
-// thread is joined and the final traffic counters print.
+// thread is joined and the final traffic counters print. `--help` is
+// generated from the flag table below.
 //
 // SECURITY: the protocol is unauthenticated — the default bind address
 // stays on 127.0.0.1; bind 0.0.0.0 only on networks where every peer is
 // trusted (see README "Distributed mode").
 
-#include <chrono>
-#include <cstdint>
-#include <cstring>
 #include <iostream>
 #include <memory>
-#include <mutex>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -54,494 +51,140 @@ int Fail(const Status& status) {
   return 1;
 }
 
-/// Opens the plain data file as a typed export of key type `K`; the
-/// returned dataset owns device + file and carries the v2 compute hooks
-/// over the same `FileRunProvider` local mode uses.
-template <typename K>
-Result<ExportedDataset> OpenPlainExportTyped(
-    std::unique_ptr<FileBlockDevice> device) {
-  struct Bundle {
-    std::unique_ptr<FileBlockDevice> device;
-    std::unique_ptr<TypedDataFile<K>> file;
-  };
-  auto bundle = std::make_shared<Bundle>();
-  bundle->device = std::move(device);
-  auto file = TypedDataFile<K>::Open(bundle->device.get());
+const CommandSpec& Spec() {
+  static const CommandSpec kSpec = {
+      "opaq_noded",
+      nullptr,
+      "serves local OPAQ datasets to remote engines over TCP (wire protocol "
+      "v1 range streaming, v2 node-side compute, v4 packed extents, v5 "
+      "appends, v6 stats)",
+      nullptr,
+      Concat({
+          {"export", "", "NAME=PATH[+PATH...][,NAME=PATH...]",
+           "datasets to serve: name=path for a plain or extent file, "
+           "name=p0+p1+... for the stripes of a striped one (first '=' "
+           "separates the name; duplicate names are an error)"},
+          {"live", "", "NAME=DIR[,NAME=DIR...]",
+           "live (appendable) dataset directories to serve; the node also "
+           "accepts wire v5 APPEND for these (create one first with "
+           "`opaq_cli append --live=DIR`)"},
+          {"max-read-bytes",
+           std::to_string(NodeServerOptions().max_read_bytes),
+           "NodeServerOptions::max_read_bytes", "per-request read bound",
+           false, FlagType::kInt, 1},
+          {"max-wire-version", std::to_string(kMaxWireVersion),
+           "NodeServerOptions::max_wire_version",
+           "cap the protocol (1 = emulate a v1-only node)", false,
+           FlagType::kInt, kWireVersion, kMaxWireVersion},
+      }, ServingFlags("34601"))};
+  return kSpec;
+}
+
+using Devices = std::vector<std::unique_ptr<FileBlockDevice>>;
+
+/// Registers `file`, opened over `devices`; the export's owner handle keeps
+/// both alive for the server's lifetime.
+template <typename K, typename File>
+Result<const ExportedDataset*> ExportOpened(NodeServer* server,
+                                            const std::string& name,
+                                            Devices devices,
+                                            Result<File> file) {
   if (!file.ok()) return file.status();
-  bundle->file = std::make_unique<TypedDataFile<K>>(std::move(file).value());
-  ExportedDataset dataset;
-  dataset.key_type = static_cast<uint32_t>(KeyTraits<K>::kType);
-  dataset.element_size = sizeof(K);
-  dataset.element_count = bundle->file->size();
-  const TypedDataFile<K>* fptr = bundle->file.get();
-  dataset.read = [fptr](uint64_t first, uint64_t count, void* out) {
-    return fptr->Read(first, count, static_cast<K*>(out));
-  };
-  dataset.sample_runs = [fptr](const WireSampleRunsRequest& request,
-                               uint64_t max_run_bytes) {
-    return NodeSampleRuns<K>(FileRunProvider<K>(fptr), request,
-                             max_run_bytes);
-  };
-  dataset.exact_pass = [fptr](const WireExactPassRequest& request,
-                              const uint8_t* bracket_bytes,
-                              uint64_t max_run_bytes) {
-    return NodeExactPass<K>(FileRunProvider<K>(fptr), request, bracket_bytes,
-                            max_run_bytes);
-  };
-  dataset.owner = std::move(bundle);
-  return dataset;
+  auto opened = std::make_shared<std::pair<Devices, File>>(
+      std::move(devices), std::move(file).value());
+  return &server->Export<K>(name, &opened->second, opened);
 }
 
-/// Opens a plain data file export, dispatching on the key type its header
-/// declares (a node serves any key type; clients type-check at handshake).
-Result<ExportedDataset> OpenPlainExport(const std::string& path) {
-  auto device = FileBlockDevice::Make(path, FileBlockDevice::Mode::kOpen);
-  if (!device.ok()) return device.status();
-  DataFileHeader header;
-  OPAQ_RETURN_IF_ERROR((*device)->ReadAt(0, &header, sizeof(header)));
-  switch (static_cast<KeyType>(header.key_type)) {
-    case KeyType::kU32:
-      return OpenPlainExportTyped<uint32_t>(std::move(device).value());
-    case KeyType::kU64:
-      return OpenPlainExportTyped<uint64_t>(std::move(device).value());
-    case KeyType::kI64:
-      return OpenPlainExportTyped<int64_t>(std::move(device).value());
-    case KeyType::kF32:
-      return OpenPlainExportTyped<float>(std::move(device).value());
-    case KeyType::kF64:
-      return OpenPlainExportTyped<double>(std::move(device).value());
-  }
-  return Status::InvalidArgument(
-      path + ": unknown key type tag " + std::to_string(header.key_type) +
-      " (not an OPAQ data file?)");
-}
-
-/// Opens the stripes as a typed striped file of key type `K`; the returned
-/// dataset owns every device and the file, and computes over the striped
-/// readers directly (kAsync = one thread per stripe).
-template <typename K>
-Result<ExportedDataset> OpenStripedExportTyped(
-    std::vector<std::unique_ptr<FileBlockDevice>> devices) {
-  struct Bundle {
-    std::vector<std::unique_ptr<FileBlockDevice>> devices;
-    std::unique_ptr<StripedDataFile<K>> file;
-  };
-  auto bundle = std::make_shared<Bundle>();
-  bundle->devices = std::move(devices);
+/// Opens one --export entry and registers it. The first file's header
+/// names the format and key type: one path is a plain or extent file,
+/// several are the stripes of one striped or extent file.
+Result<const ExportedDataset*> ExportFiles(NodeServer* server,
+                                           const ExportSpecEntry& entry) {
+  Devices devices;
   std::vector<BlockDevice*> raw;
-  raw.reserve(bundle->devices.size());
-  for (auto& device : bundle->devices) raw.push_back(device.get());
-  auto file = StripedDataFile<K>::Open(std::move(raw));
-  if (!file.ok()) return file.status();
-  bundle->file =
-      std::make_unique<StripedDataFile<K>>(std::move(file).value());
-  ExportedDataset dataset;
-  dataset.key_type = static_cast<uint32_t>(KeyTraits<K>::kType);
-  dataset.element_size = sizeof(K);
-  dataset.element_count = bundle->file->size();
-  const StripedDataFile<K>* fptr = bundle->file.get();
-  dataset.read = [fptr](uint64_t first, uint64_t count, void* out) {
-    return fptr->Read(first, count, static_cast<K*>(out));
-  };
-  dataset.sample_runs = [fptr](const WireSampleRunsRequest& request,
-                               uint64_t max_run_bytes) {
-    return NodeSampleRuns<K>(StripedFileProvider<K>(fptr), request,
-                             max_run_bytes);
-  };
-  dataset.exact_pass = [fptr](const WireExactPassRequest& request,
-                              const uint8_t* bracket_bytes,
-                              uint64_t max_run_bytes) {
-    return NodeExactPass<K>(StripedFileProvider<K>(fptr), request,
-                            bracket_bytes, max_run_bytes);
-  };
-  dataset.owner = std::move(bundle);
-  return dataset;
-}
-
-/// Devices + extent file an extent export keeps alive for the server's
-/// lifetime (the typed opener below borrows raw pointers out of it).
-struct ExtentBundle {
-  std::vector<std::unique_ptr<FileBlockDevice>> devices;
-  std::unique_ptr<ExtentFile> file;
-};
-
-/// Binds the compressed-extent file as a typed export of key type `K`.
-/// The dataset serves every client generation: v1 `kReadRange` decodes
-/// node-side, v2 compute runs over the extent-decoding provider, and v4
-/// `kReadExtents` ships the stored extents verbatim so the wire carries
-/// packed bytes and the remote engine decodes on its own streaming thread.
-template <typename K>
-Result<ExportedDataset> OpenExtentExportTyped(
-    std::shared_ptr<ExtentBundle> bundle) {
-  const ExtentFile* fptr = bundle->file.get();
-  ExportedDataset dataset;
-  dataset.key_type = fptr->key_type();
-  dataset.element_size = fptr->element_size();
-  dataset.element_count = fptr->size();
-  dataset.read = [fptr](uint64_t first, uint64_t count, void* out) {
-    return fptr->ReadElements(first, count, out);
-  };
-  dataset.sample_runs = [fptr](const WireSampleRunsRequest& request,
-                               uint64_t max_run_bytes) {
-    return NodeSampleRuns<K>(ExtentFileProvider<K>(fptr), request,
-                             max_run_bytes);
-  };
-  dataset.exact_pass = [fptr](const WireExactPassRequest& request,
-                              const uint8_t* bracket_bytes,
-                              uint64_t max_run_bytes) {
-    return NodeExactPass<K>(ExtentFileProvider<K>(fptr), request,
-                            bracket_bytes, max_run_bytes);
-  };
-  dataset.extent_elements = fptr->extent_elements();
-  dataset.num_extents = fptr->num_extents();
-  dataset.extent_codec = static_cast<uint16_t>(fptr->default_codec());
-  dataset.read_stored_extent = [fptr](uint64_t extent,
-                                      std::vector<uint8_t>* out) {
-    std::vector<uint8_t> stored;
-    OPAQ_RETURN_IF_ERROR(fptr->ReadStoredExtent(extent, &stored));
-    out->insert(out->end(), stored.begin(), stored.end());
-    return Status::OK();
-  };
-  dataset.owner = std::move(bundle);
-  return dataset;
-}
-
-/// Opens a compressed extent export (single file or the stripes of one
-/// extent file), dispatching on the key type its header declares.
-Result<ExportedDataset> OpenExtentExport(
-    const std::vector<std::string>& paths) {
-  auto bundle = std::make_shared<ExtentBundle>();
-  for (const std::string& path : paths) {
+  for (const std::string& path : entry.paths) {
     auto device = FileBlockDevice::Make(path, FileBlockDevice::Mode::kOpen);
     if (!device.ok()) return device.status();
-    bundle->devices.push_back(std::move(device).value());
-  }
-  std::vector<BlockDevice*> raw;
-  raw.reserve(bundle->devices.size());
-  for (auto& device : bundle->devices) raw.push_back(device.get());
-  auto file = ExtentFile::Open(std::move(raw));
-  if (!file.ok()) return file.status();
-  bundle->file = std::make_unique<ExtentFile>(std::move(file).value());
-  switch (static_cast<KeyType>(bundle->file->key_type())) {
-    case KeyType::kU32:
-      return OpenExtentExportTyped<uint32_t>(std::move(bundle));
-    case KeyType::kU64:
-      return OpenExtentExportTyped<uint64_t>(std::move(bundle));
-    case KeyType::kI64:
-      return OpenExtentExportTyped<int64_t>(std::move(bundle));
-    case KeyType::kF32:
-      return OpenExtentExportTyped<float>(std::move(bundle));
-    case KeyType::kF64:
-      return OpenExtentExportTyped<double>(std::move(bundle));
-  }
-  return Status::InvalidArgument(
-      paths[0] + ": unknown key type tag " +
-      std::to_string(bundle->file->key_type()) +
-      " (not an OPAQ extent file?)");
-}
-
-/// Opens a striped export, dispatching on the key type the stripe headers
-/// declare (a node serves any key type; clients type-check at handshake).
-Result<ExportedDataset> OpenStripedExport(
-    const std::vector<std::string>& paths) {
-  std::vector<std::unique_ptr<FileBlockDevice>> devices;
-  for (const std::string& path : paths) {
-    auto device = FileBlockDevice::Make(path, FileBlockDevice::Mode::kOpen);
-    if (!device.ok()) return device.status();
+    raw.push_back(device->get());
     devices.push_back(std::move(device).value());
   }
-  StripeFileHeader header;
-  OPAQ_RETURN_IF_ERROR(devices[0]->ReadAt(0, &header, sizeof(header)));
-  switch (static_cast<KeyType>(header.key_type)) {
-    case KeyType::kU32:
-      return OpenStripedExportTyped<uint32_t>(std::move(devices));
-    case KeyType::kU64:
-      return OpenStripedExportTyped<uint64_t>(std::move(devices));
-    case KeyType::kI64:
-      return OpenStripedExportTyped<int64_t>(std::move(devices));
-    case KeyType::kF32:
-      return OpenStripedExportTyped<float>(std::move(devices));
-    case KeyType::kF64:
-      return OpenStripedExportTyped<double>(std::move(devices));
-  }
-  return Status::InvalidArgument(
-      paths[0] + ": unknown key type tag " + std::to_string(header.key_type) +
-      " (not an OPAQ stripe file?)");
+  auto prefix = ProbeDataFile(raw[0]);
+  if (!prefix.ok()) return prefix.status();
+  return VisitKeyType(
+      prefix->key_type, [&](auto tag) -> Result<const ExportedDataset*> {
+        using K = typename decltype(tag)::type;
+        if (prefix->magic == ExtentFileHeader::kMagic) {
+          auto file = ExtentFile::Open(raw);
+          if (file.ok()) OPAQ_RETURN_IF_ERROR(CheckExtentKeyType<K>(*file));
+          return ExportOpened<K>(server, entry.name, std::move(devices),
+                                 std::move(file));
+        }
+        if (raw.size() == 1) {
+          return ExportOpened<K>(server, entry.name, std::move(devices),
+                                 TypedDataFile<K>::Open(raw[0]));
+        }
+        return ExportOpened<K>(server, entry.name, std::move(devices),
+                               StripedDataFile<K>::Open(raw));
+      });
 }
 
-/// A live export's shared state. Appends serialize under `writer_mutex`
-/// (the wire delivers them from concurrent connection threads); every
-/// committed append reopens a read snapshot and swaps it in under
-/// `snapshot_mutex`, so in-flight reads/computes finish on the snapshot
-/// they started with — the same epoch discipline as `opaq_queryd`'s
-/// refresh — and new requests see the new segment immediately.
-template <typename K>
-struct LiveBundle {
-  std::mutex writer_mutex;
-  std::unique_ptr<LiveDataset<K>> writer;
-  std::mutex snapshot_mutex;
-  std::shared_ptr<const LiveDatasetReader<K>> snapshot;
-
-  std::shared_ptr<const LiveDatasetReader<K>> Snapshot() {
-    std::lock_guard<std::mutex> lock(snapshot_mutex);
-    return snapshot;
-  }
-};
-
-/// Binds the live dataset directory as a typed appendable export: all the
-/// usual read/compute hooks over the current snapshot, plus the v5
-/// `append` hook and a `live_count` that tracks growth.
-template <typename K>
-Result<ExportedDataset> OpenLiveExportTyped(const std::string& dir) {
-  auto bundle = std::make_shared<LiveBundle<K>>();
-  auto writer = LiveDataset<K>::Open(dir);
-  if (!writer.ok()) return writer.status();
-  bundle->writer =
-      std::make_unique<LiveDataset<K>>(std::move(writer).value());
-  auto reader = LiveDatasetReader<K>::Open(dir);
-  if (!reader.ok()) return reader.status();
-  bundle->snapshot = std::make_shared<const LiveDatasetReader<K>>(
-      std::move(reader).value());
-
-  ExportedDataset dataset;
-  dataset.key_type = static_cast<uint32_t>(KeyTraits<K>::kType);
-  dataset.element_size = sizeof(K);
-  dataset.element_count = bundle->snapshot->size();
-  dataset.read = [bundle](uint64_t first, uint64_t count, void* out) {
-    return bundle->Snapshot()->Read(first, count, static_cast<K*>(out));
-  };
-  dataset.live_count = [bundle]() { return bundle->Snapshot()->size(); };
-  dataset.sample_runs = [bundle](const WireSampleRunsRequest& request,
-                                 uint64_t max_run_bytes) {
-    auto snapshot = bundle->Snapshot();
-    return NodeSampleRuns<K>(*snapshot, request, max_run_bytes);
-  };
-  dataset.exact_pass = [bundle](const WireExactPassRequest& request,
-                                const uint8_t* bracket_bytes,
-                                uint64_t max_run_bytes) {
-    auto snapshot = bundle->Snapshot();
-    return NodeExactPass<K>(*snapshot, request, bracket_bytes,
-                            max_run_bytes);
-  };
-  dataset.append = [bundle, dir](const uint8_t* elements,
-                                 uint64_t count) -> Result<WireAppendAck> {
-    std::lock_guard<std::mutex> writer_lock(bundle->writer_mutex);
-    std::vector<K> values(count);
-    std::memcpy(values.data(), elements, count * sizeof(K));
-    OPAQ_RETURN_IF_ERROR(bundle->writer->Append(values));
-    // The segment is durable; fold it into the read snapshot before
-    // acking so a reader that acts on the ack already sees its data.
-    auto reader = LiveDatasetReader<K>::Open(dir);
-    if (!reader.ok()) return reader.status();
-    auto snapshot = std::make_shared<const LiveDatasetReader<K>>(
-        std::move(reader).value());
-    {
-      std::lock_guard<std::mutex> snapshot_lock(bundle->snapshot_mutex);
-      bundle->snapshot = std::move(snapshot);
-    }
-    WireAppendAck ack;
-    ack.total_elements = bundle->writer->total_elements();
-    ack.num_segments = bundle->writer->num_segments();
-    return ack;
-  };
-  dataset.owner = bundle;
-  return dataset;
-}
-
-/// Opens a --live entry: the directory's manifest names the key type.
-/// The dataset must already exist (create it with `opaq_cli append
-/// --live=DIR` or the writer API) so a typo'd path fails loudly instead of
-/// silently serving a fresh empty dataset.
-Result<ExportedDataset> OpenLiveExport(const std::string& dir) {
+/// Opens one --live directory as an appendable export; its manifest names
+/// the key type.
+Result<ExportedDataset> OpenLive(const std::string& dir) {
   auto info = ReadLiveManifestInfo(dir);
   if (!info.ok()) return info.status();
-  switch (info->key_type) {
-    case KeyType::kU32: return OpenLiveExportTyped<uint32_t>(dir);
-    case KeyType::kU64: return OpenLiveExportTyped<uint64_t>(dir);
-    case KeyType::kI64: return OpenLiveExportTyped<int64_t>(dir);
-    case KeyType::kF32: return OpenLiveExportTyped<float>(dir);
-    case KeyType::kF64: return OpenLiveExportTyped<double>(dir);
-  }
-  return Status::InvalidArgument(dir + ": unknown key type in live manifest");
-}
-
-/// Opens one --export entry's paths, sniffing the on-disk format from the
-/// first file's magic: compressed extent files (single or striped) get the
-/// extent export, everything else routes to the plain/striped openers
-/// (which still reject non-OPAQ files with a clear message).
-Result<ExportedDataset> OpenExport(const std::vector<std::string>& paths) {
-  uint64_t magic = 0;
-  {
-    auto probe = FileBlockDevice::Make(paths[0], FileBlockDevice::Mode::kOpen);
-    if (!probe.ok()) return probe.status();
-    auto size = (*probe)->Size();
-    if (!size.ok()) return size.status();
-    if (*size >= sizeof(magic)) {
-      OPAQ_RETURN_IF_ERROR((*probe)->ReadAt(0, &magic, sizeof(magic)));
-    }
-  }
-  if (magic == ExtentFileHeader::kMagic) return OpenExtentExport(paths);
-  return paths.size() == 1 ? OpenPlainExport(paths[0])
-                           : OpenStripedExport(paths);
-}
-
-int Usage(std::ostream& os, int code) {
-  os << "usage: opaq_noded --export=NAME=PATH[+PATH...][,NAME=PATH...] "
-        "[flags]\n\n"
-        "serves local OPAQ datasets to remote engines over TCP (wire "
-        "protocol v1 range\nstreaming + v2 node-side compute).\n\nflags:\n"
-        "  --export=...        datasets to serve: name=path for a plain data "
-        "file,\n"
-        "                      name=p0+p1+... for the stripes of a striped "
-        "file\n"
-        "                      (first '=' separates the name; duplicate "
-        "names are\n"
-        "                      an error)\n"
-        "  --live=NAME=DIR     live (appendable) dataset directories to "
-        "serve; the\n"
-        "                      node additionally accepts wire v5 APPEND "
-        "for these\n"
-        "                      (create one first with `opaq_cli append "
-        "--live=DIR`)\n"
-        "  --bind=127.0.0.1    IPv4 address to bind (UNAUTHENTICATED "
-        "protocol:\n"
-        "                      bind non-loopback only on trusted networks)\n"
-        "  --port=34601        TCP port (0 = pick an ephemeral port)\n"
-        "  --max-read-bytes=4194304  per-request read bound\n"
-        "  --max-wire-version=4  cap the protocol (1 = emulate a v1-only "
-        "node)\n"
-        "  --delay-ms=0        artificial response latency (bench/testing)\n"
-        "  --duration=0        serve this many seconds, then exit (0 = "
-        "until\n"
-        "                      SIGINT/SIGTERM; either way shutdown is clean "
-        "and the\n"
-        "                      final stats print)\n"
-        "  --stats-interval=0  seconds between periodic stats dumps to "
-        "stdout\n"
-        "                      (same rows `opaq_cli stats` fetches; 0 = "
-        "only the\n"
-        "                      shutdown summary)\n";
-  return code;
-}
-
-/// A bad flag VALUE (--port=, --port=999999999999999999999, --delay-ms=fast)
-/// is usage, not an internal error: say what was wrong, show the help, exit
-/// 2 — never abort, never silently bind port 0.
-int BadFlag(const Status& status) {
-  std::cerr << "opaq_noded: " << status.message() << "\n";
-  return Usage(std::cerr, 2);
+  return VisitKeyType(info->key_type, [&](auto tag) {
+    return OpenLiveExport<typename decltype(tag)::type>(dir);
+  });
 }
 
 int Main(int argc, char** argv) {
   auto flags = Flags::Parse(argc, argv);
   if (!flags.ok()) return Fail(flags.status());
-  {
-    auto help = flags->TryGetBool("help", false);
-    if (!help.ok()) return BadFlag(help.status());
-    if (*help) return Usage(std::cout, 0);
+  const CommandSpec& spec = Spec();
+  auto help = flags->TryGetBool("help", false);
+  if (help.ok() && *help) {
+    PrintCommandHelp(spec, std::cout);
+    return 0;
   }
-  for (const std::string& key : flags->keys()) {
-    if (key != "export" && key != "live" && key != "bind" && key != "port" &&
-        key != "max-read-bytes" && key != "max-wire-version" &&
-        key != "delay-ms" && key != "duration" &&
-        key != "stats-interval" && key != "help") {
-      std::cerr << "opaq_noded: unknown flag --" << key << "\n";
-      return Usage(std::cerr, 2);
-    }
+  Status valid = help.ok() ? ValidateFlags(*flags, spec) : help.status();
+  if (valid.ok() && !flags->Has("export") && !flags->Has("live")) {
+    valid = Status::InvalidArgument("nothing to serve: need --export/--live");
   }
-  if (!flags->positional().empty()) {
-    std::cerr << "opaq_noded: unexpected positional argument '"
-              << flags->positional()[0] << "'\n";
-    return Usage(std::cerr, 2);
-  }
-  if (!flags->Has("export") && !flags->Has("live")) {
-    std::cerr << "opaq_noded: nothing to serve\n";
-    return Usage(std::cerr, 2);
-  }
+  if (!valid.ok()) return UsageError(valid, spec);
+  auto entries = ParseDaemonEntries(*flags, "export", "live");
+  if (!entries.ok()) return Fail(entries.status());
 
-  std::vector<ExportSpecEntry> static_entries;
-  if (flags->Has("export")) {
-    auto entries = ParseExportSpecs(flags->GetString("export", ""));
-    if (!entries.ok()) return Fail(entries.status());
-    static_entries = std::move(entries).value();
-  }
-  std::vector<ExportSpecEntry> live_entries;
-  if (flags->Has("live")) {
-    auto entries = ParseExportSpecs(flags->GetString("live", ""));
-    if (!entries.ok()) return Fail(entries.status());
-    live_entries = std::move(entries).value();
-    for (const ExportSpecEntry& entry : live_entries) {
-      if (entry.paths.size() != 1) {
-        return Fail(Status::InvalidArgument(
-            "--live entry '" + entry.name +
-            "': a live dataset is one directory, not a striped path list"));
-      }
-      for (const ExportSpecEntry& other : static_entries) {
-        if (other.name == entry.name) {
-          return Fail(Status::InvalidArgument(
-              "dataset name '" + entry.name +
-              "' appears in both --export and --live"));
-        }
-      }
-    }
-  }
-
+  const CommandFlags args(*flags, spec);
   NodeServerOptions options;
-  options.bind_address = flags->GetString("bind", "127.0.0.1");
-  const auto port = flags->TryGetInt("port", 34601);
-  if (!port.ok()) return BadFlag(port.status());
-  if (*port < 0 || *port > 65535) {
-    return BadFlag(Status::InvalidArgument("--port must be in [0, 65535]"));
-  }
-  options.port = static_cast<uint16_t>(*port);
-  const auto max_read = flags->TryGetInt("max-read-bytes", 4 << 20);
-  if (!max_read.ok()) return BadFlag(max_read.status());
-  if (*max_read < 1) {
-    return BadFlag(Status::InvalidArgument("--max-read-bytes must be >= 1"));
-  }
-  options.max_read_bytes = static_cast<uint64_t>(*max_read);
-  const auto max_version =
-      flags->TryGetInt("max-wire-version", kMaxWireVersion);
-  if (!max_version.ok()) return BadFlag(max_version.status());
-  if (*max_version < kWireVersion || *max_version > kMaxWireVersion) {
-    return BadFlag(Status::InvalidArgument(
-        "--max-wire-version must be in [" + std::to_string(kWireVersion) +
-        ", " + std::to_string(kMaxWireVersion) + "]"));
-  }
-  options.max_wire_version = static_cast<uint16_t>(*max_version);
-  const auto delay_ms = flags->TryGetDouble("delay-ms", 0);
-  if (!delay_ms.ok()) return BadFlag(delay_ms.status());
-  options.response_delay_seconds = *delay_ms / 1000.0;
-  const auto duration = flags->TryGetDouble("duration", 0);
-  if (!duration.ok()) return BadFlag(duration.status());
-  const auto stats_interval = flags->TryGetDouble("stats-interval", 0);
-  if (!stats_interval.ok()) return BadFlag(stats_interval.status());
-  if (*stats_interval < 0) {
-    return BadFlag(
-        Status::InvalidArgument("--stats-interval must be non-negative"));
-  }
+  options.bind_address = args.GetString("bind");
+  options.port = static_cast<uint16_t>(args.GetInt("port"));
+  options.max_read_bytes = static_cast<uint64_t>(args.GetInt("max-read-bytes"));
+  options.max_wire_version =
+      static_cast<uint16_t>(args.GetInt("max-wire-version"));
+  options.response_delay_seconds = args.GetDouble("delay-ms") / 1000.0;
 
   NodeServer server(options);
-  for (const ExportSpecEntry& entry : static_entries) {
-    auto dataset = OpenExport(entry.paths);
+  for (const ExportSpecEntry& entry : entries->fixed) {
+    auto dataset = ExportFiles(&server, entry);
     if (!dataset.ok()) {
       return Fail(Status(dataset.status().code(),
                          "export '" + entry.name + "': " +
                              dataset.status().message()));
     }
-    std::cout << "export " << entry.name << ": " << dataset->element_count
-              << " elements x " << dataset->element_size << " bytes ("
+    const ExportedDataset& exported = **dataset;
+    std::cout << "export " << entry.name << ": " << exported.element_count
+              << " elements x " << exported.element_size << " bytes ("
               << entry.paths.size()
               << (entry.paths.size() == 1 ? " file" : " stripes");
-    if (dataset->extent_elements > 0) {
-      std::cout << ", " << dataset->num_extents << " extents, codec "
-                << ExtentCodecName(dataset->extent_codec);
+    if (exported.extent_elements > 0) {
+      std::cout << ", " << exported.num_extents << " extents, codec "
+                << ExtentCodecName(exported.extent_codec);
     }
     std::cout << ")\n";
-    server.Export(entry.name, std::move(dataset).value());
   }
-  for (const ExportSpecEntry& entry : live_entries) {
-    auto dataset = OpenLiveExport(entry.paths[0]);
+  for (const ExportSpecEntry& entry : entries->live) {
+    auto dataset = OpenLive(entry.paths[0]);
     if (!dataset.ok()) {
       return Fail(Status(dataset.status().code(),
                          "live export '" + entry.name + "': " +
@@ -567,7 +210,8 @@ int Main(int argc, char** argv) {
   // (printing stats every --stats-interval seconds on the way); either way
   // Stop() joins every connection thread and the final stats print.
   const bool signalled =
-      ServeUntilShutdown(&server, *duration, *stats_interval, std::cout);
+      ServeUntilShutdown(&server, args.GetDouble("duration"),
+                         args.GetDouble("stats-interval"), std::cout);
   server.Stop();
   std::cout << (signalled ? "shutdown: signal received; final stats:\n"
                           : "shutdown: final stats:\n")

@@ -1,6 +1,6 @@
 // opaq_queryd — the OPAQ query-serving daemon: sketch once, serve millions.
 // At startup it runs the paper's one pass over every --serve dataset (plain
-// or striped data files, any key type) and keeps the finished QuerySession
+// striped or extent files, any key type) and keeps the finished QuerySession
 // in memory; from then on every batched phi-quantile / rank-bracket /
 // equi-depth request is answered off the sample list in O(1) per bracket —
 // no data I/O on the query path. Exact-flagged requests are admission-
@@ -12,26 +12,25 @@
 //   opaq_queryd --serve=logs=/d0/l.s0+/d1/l.s1      # striped dataset
 //   opaq_queryd --serve=a=a.opaq --refresh-interval=300   # epoch rebuilds
 //
-// Each --serve entry is name=path (plain file) or name=p0+p1+... (stripes,
-// logical order), exactly like opaq_noded --export. With
+// Each --serve entry is name=path (plain or extent file) or name=p0+p1+...
+// (stripes, logical order), exactly like opaq_noded --export; each --watch
+// entry is name=DIR of a live dataset, served by `QueryServer::ServeLive`
+// (incremental refreshes). With
 // --refresh-interval=N the daemon re-sketches every session every N
 // seconds in the background and atomically swaps the new epoch in;
 // in-flight queries finish against the epoch they started with. The
 // daemon serves until SIGINT/SIGTERM (or --duration seconds); shutdown is
 // ordered — every connection thread is joined and the final counters
-// print.
+// print. `--help` is generated from the flag table below.
 //
 // SECURITY: the protocol is unauthenticated — the default bind address
 // stays on 127.0.0.1; bind 0.0.0.0 only on networks where every peer is
 // trusted (see README "Query serving").
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
+#include <future>
 #include <iostream>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -52,312 +51,135 @@ int Fail(const Status& status) {
   return 1;
 }
 
-/// Registers one session of key type `K` with the server: the builder
-/// re-opens the file(s) and re-runs the one sketching pass on every call,
-/// so each Refresh sees the bytes currently on disk (that IS the epoch
-/// semantics — a rewritten dataset is picked up at the next refresh).
-template <typename K>
-Status ServeTyped(QueryServer* server, const std::string& name,
-                  std::vector<std::string> paths, OpaqConfig config) {
-  return server->Serve<K>(name, [paths = std::move(paths),
-                                 config = std::move(config)]()
-                                    -> Result<QuerySession<K>> {
-    auto source = paths.size() == 1 ? Source<K>::Open(paths[0])
-                                    : Source<K>::OpenStriped(paths);
-    if (!source.ok()) return source.status();
-    return Engine<K>(config, std::move(source).value()).Build();
-  });
+const CommandSpec& Spec() {
+  static const CommandSpec kSpec = {
+      "opaq_queryd",
+      nullptr,
+      "sketches local OPAQ datasets once at startup, then serves batched "
+      "quantile / rank / equi-depth queries over TCP (wire protocol v3 "
+      "queries, v6 stats) off the in-memory sample lists",
+      nullptr,
+      Concat({
+          {"serve", "", "NAME=PATH[+PATH...][,NAME=PATH...]",
+           "sessions to build and serve: name=path for a plain or extent "
+           "file, name=p0+p1+... for a striped one"},
+          {"watch", "", "NAME=DIR[,NAME=DIR...]",
+           "LIVE sessions over live dataset directories (see `opaq_cli "
+           "append`): refreshes are incremental — only newly appended "
+           "segments are sketched and Absorb'd into the serving session "
+           "(epoch swap); pair with --refresh-interval"},
+          {"run-size", std::to_string(OpaqConfig().run_size),
+           "OpaqConfig::run_size", "sketch run size (elements per run)",
+           false, FlagType::kInt},
+          {"samples", std::to_string(OpaqConfig().samples_per_run),
+           "OpaqConfig::samples_per_run",
+           "samples kept per run (s; rank error ~ n/s)", false,
+           FlagType::kInt},
+          {"seed", std::to_string(OpaqConfig().seed), "OpaqConfig::seed",
+           "sampling offset seed", false, FlagType::kInt},
+          {"refresh-interval", "0", "epoch refresh period",
+           "seconds between background session rebuilds (epoch swap; 0 = "
+           "never refresh)",
+           false, FlagType::kDouble, 0},
+          {"exact-delay-ms", "0",
+           "QueryServerOptions::exact_admission_delay_seconds",
+           "batching window in ms for exact-flagged requests", false,
+           FlagType::kDouble, 0},
+      }, ServingFlags("34602"))};
+  return kSpec;
 }
 
-/// Dispatches on the key type the file header declares (a daemon serves
-/// any key type; clients type-check when they open the session).
-Status ServeEntry(QueryServer* server, const ExportSpecEntry& entry,
+/// Registers one --serve session; the first file's header names the key
+/// type. The builder re-opens the file(s) and re-runs the one sketching
+/// pass on every call, so each Refresh sees the bytes currently on disk
+/// (that IS the epoch semantics — a rewritten dataset is picked up at the
+/// next refresh).
+Status ServeFiles(QueryServer* server, const ExportSpecEntry& entry,
                   const OpaqConfig& config) {
   auto device =
       FileBlockDevice::Make(entry.paths[0], FileBlockDevice::Mode::kOpen);
   if (!device.ok()) return device.status();
-  // Plain and stripe headers both lead with a magic and carry a key_type
-  // tag; which struct to read depends on how many paths the entry names.
-  uint32_t key_type = 0;
-  if (entry.paths.size() == 1) {
-    DataFileHeader header;
-    OPAQ_RETURN_IF_ERROR((*device)->ReadAt(0, &header, sizeof(header)));
-    key_type = header.key_type;
-  } else {
-    StripeFileHeader header;
-    OPAQ_RETURN_IF_ERROR((*device)->ReadAt(0, &header, sizeof(header)));
-    key_type = header.key_type;
-  }
-  switch (static_cast<KeyType>(key_type)) {
-    case KeyType::kU32:
-      return ServeTyped<uint32_t>(server, entry.name, entry.paths, config);
-    case KeyType::kU64:
-      return ServeTyped<uint64_t>(server, entry.name, entry.paths, config);
-    case KeyType::kI64:
-      return ServeTyped<int64_t>(server, entry.name, entry.paths, config);
-    case KeyType::kF32:
-      return ServeTyped<float>(server, entry.name, entry.paths, config);
-    case KeyType::kF64:
-      return ServeTyped<double>(server, entry.name, entry.paths, config);
-  }
-  return Status::InvalidArgument(
-      entry.paths[0] + ": unknown key type tag " + std::to_string(key_type) +
-      " (not an OPAQ data file?)");
+  auto prefix = ProbeDataFile(device->get());
+  if (!prefix.ok()) return prefix.status();
+  return VisitKeyType(prefix->key_type, [&](auto tag) {
+    using K = typename decltype(tag)::type;
+    return server->Serve<K>(
+        entry.name,
+        [paths = entry.paths, config]() -> Result<QuerySession<K>> {
+          auto source = paths.size() == 1 ? Source<K>::Open(paths[0])
+                                          : Source<K>::OpenStriped(paths);
+          if (!source.ok()) return source.status();
+          return Engine<K>(config, std::move(source).value()).Build();
+        });
+  });
 }
 
-/// Registers one LIVE session of key type `K`: the builder sketches the
-/// whole live dataset (epoch 1 and the full-rebuild fallback), and the
-/// refresher is INCREMENTAL — it sketches only the segments appended since
-/// the serving epoch and `Absorb`s their sample list into a copy of the
-/// session (associative merge, byte-identical to a full rebuild), so a
-/// refresh costs one pass over the DELTA, not the dataset. The refresher
-/// errors on anything it cannot absorb (dataset vanished or shrank —
-/// i.e. recreated), which `Refresh` answers with a full rebuild.
-template <typename K>
-Status ServeLiveTyped(QueryServer* server, const std::string& name,
-                      const std::string& dir, OpaqConfig config) {
-  auto builder = [dir, config]() -> Result<QuerySession<K>> {
-    auto source = Source<K>::OpenLive(dir);
-    if (!source.ok()) return source.status();
-    return Engine<K>(config, std::move(source).value()).Build();
-  };
-  auto refresher =
-      [dir, config](const QuerySession<K>& current)
-      -> Result<QuerySession<K>> {
-    auto info = ReadLiveManifestInfo(dir);
-    if (!info.ok()) return info.status();
-    const uint64_t have = current.total_elements();
-    if (info->total_elements == have) {
-      return current;  // no new segments; re-serve the same sketch
-    }
-    if (info->total_elements < have) {
-      return Status::FailedPrecondition(
-          "live dataset shrank below the serving session (recreated?); "
-          "needs a full rebuild");
-    }
-    // `have` is a segment boundary (appends commit whole segments), so
-    // the tail's run grid equals sketching the new segments alone and the
-    // merge below is byte-identical to a from-scratch rebuild.
-    auto tail = Source<K>::OpenLive(dir, have);
-    if (!tail.ok()) return tail.status();
-    auto delta = Engine<K>(config, *tail).Build();
-    if (!delta.ok()) return delta.status();
-    QuerySession<K> next = current;
-    OPAQ_RETURN_IF_ERROR(
-        next.Absorb(delta->sample_list(), {std::move(tail).value()}));
-    return next;
-  };
-  return server->Serve<K>(name, std::move(builder), std::move(refresher));
-}
-
-/// Dispatches a --watch entry on the key type its live manifest declares.
-Status ServeLiveEntry(QueryServer* server, const ExportSpecEntry& entry,
-                      const OpaqConfig& config) {
+/// Registers one --watch session; the live manifest names the key type.
+Status ServeLive(QueryServer* server, const ExportSpecEntry& entry,
+                 const OpaqConfig& config) {
   auto info = ReadLiveManifestInfo(entry.paths[0]);
   if (!info.ok()) return info.status();
-  switch (info->key_type) {
-    case KeyType::kU32:
-      return ServeLiveTyped<uint32_t>(server, entry.name, entry.paths[0],
-                                      config);
-    case KeyType::kU64:
-      return ServeLiveTyped<uint64_t>(server, entry.name, entry.paths[0],
-                                      config);
-    case KeyType::kI64:
-      return ServeLiveTyped<int64_t>(server, entry.name, entry.paths[0],
-                                     config);
-    case KeyType::kF32:
-      return ServeLiveTyped<float>(server, entry.name, entry.paths[0],
-                                   config);
-    case KeyType::kF64:
-      return ServeLiveTyped<double>(server, entry.name, entry.paths[0],
-                                    config);
-  }
-  return Status::InvalidArgument(entry.paths[0] +
-                                 ": unknown key type in live manifest");
-}
-
-int Usage(std::ostream& os, int code) {
-  os << "usage: opaq_queryd --serve=NAME=PATH[+PATH...][,NAME=PATH...] "
-        "[flags]\n\n"
-        "sketches local OPAQ datasets once at startup, then serves batched "
-        "quantile /\nrank / equi-depth queries over TCP (wire protocol v3) "
-        "off the in-memory\nsample lists.\n\nflags:\n"
-        "  --serve=...         sessions to build and serve: name=path for a "
-        "plain\n"
-        "                      data file, name=p0+p1+... for a striped one\n"
-        "  --watch=NAME=DIR    LIVE sessions over live dataset directories "
-        "(see\n"
-        "                      `opaq_cli append`): refreshes are "
-        "incremental —\n"
-        "                      only newly appended segments are sketched "
-        "and\n"
-        "                      Absorb'd into the serving session (epoch "
-        "swap);\n"
-        "                      pair with --refresh-interval\n"
-        "  --bind=127.0.0.1    IPv4 address to bind (UNAUTHENTICATED "
-        "protocol:\n"
-        "                      bind non-loopback only on trusted networks)\n"
-        "  --port=34602        TCP port (0 = pick an ephemeral port)\n"
-        "  --run-size=1048576  sketch run size (elements per run)\n"
-        "  --samples=1024      samples kept per run (s; rank error ~ n/s)\n"
-        "  --seed=1            sampling offset seed\n"
-        "  --refresh-interval=0  seconds between background session "
-        "rebuilds\n"
-        "                      (epoch swap; 0 = never refresh)\n"
-        "  --exact-delay-ms=0  batching window for exact-flagged requests\n"
-        "  --delay-ms=0        artificial response latency (bench/testing)\n"
-        "  --duration=0        serve this many seconds, then exit (0 = "
-        "until\n"
-        "                      SIGINT/SIGTERM; either way shutdown is clean "
-        "and the\n"
-        "                      final stats print)\n"
-        "  --stats-interval=0  seconds between periodic stats dumps to "
-        "stdout\n"
-        "                      (same rows `opaq_cli stats` fetches; 0 = "
-        "only the\n"
-        "                      shutdown summary)\n";
-  return code;
-}
-
-/// A bad flag VALUE (--port=, --run-size=huge, --duration=long) is usage,
-/// not an internal error: say what was wrong, show the help, exit 2 —
-/// never abort, never silently bind port 0.
-int BadFlag(const Status& status) {
-  std::cerr << "opaq_queryd: " << status.message() << "\n";
-  return Usage(std::cerr, 2);
+  return VisitKeyType(info->key_type, [&](auto tag) {
+    return server->ServeLive<typename decltype(tag)::type>(
+        entry.name, entry.paths[0], config);
+  });
 }
 
 int Main(int argc, char** argv) {
   auto flags = Flags::Parse(argc, argv);
   if (!flags.ok()) return Fail(flags.status());
-  {
-    auto help = flags->TryGetBool("help", false);
-    if (!help.ok()) return BadFlag(help.status());
-    if (*help) return Usage(std::cout, 0);
+  const CommandSpec& spec = Spec();
+  auto help = flags->TryGetBool("help", false);
+  if (help.ok() && *help) {
+    PrintCommandHelp(spec, std::cout);
+    return 0;
   }
-  for (const std::string& key : flags->keys()) {
-    if (key != "serve" && key != "watch" && key != "bind" && key != "port" &&
-        key != "run-size" && key != "samples" && key != "seed" &&
-        key != "refresh-interval" && key != "exact-delay-ms" &&
-        key != "delay-ms" && key != "duration" && key != "stats-interval" &&
-        key != "help") {
-      std::cerr << "opaq_queryd: unknown flag --" << key << "\n";
-      return Usage(std::cerr, 2);
-    }
+  Status valid = help.ok() ? ValidateFlags(*flags, spec) : help.status();
+  if (valid.ok() && !flags->Has("serve") && !flags->Has("watch")) {
+    valid = Status::InvalidArgument("nothing to serve: need --serve/--watch");
   }
-  if (!flags->positional().empty()) {
-    std::cerr << "opaq_queryd: unexpected positional argument '"
-              << flags->positional()[0] << "'\n";
-    return Usage(std::cerr, 2);
+  const CommandFlags args(*flags, spec);
+  OpaqConfig config;
+  if (valid.ok()) {
+    config.run_size = static_cast<uint64_t>(args.GetInt("run-size"));
+    config.samples_per_run = static_cast<uint64_t>(args.GetInt("samples"));
+    config.seed = static_cast<uint64_t>(args.GetInt("seed"));
+    valid = config.Validate();
   }
-  if (!flags->Has("serve") && !flags->Has("watch")) {
-    std::cerr << "opaq_queryd: nothing to serve\n";
-    return Usage(std::cerr, 2);
-  }
-
-  std::vector<ExportSpecEntry> static_entries;
-  if (flags->Has("serve")) {
-    auto entries = ParseExportSpecs(flags->GetString("serve", ""));
-    if (!entries.ok()) return Fail(entries.status());
-    static_entries = std::move(entries).value();
-  }
-  std::vector<ExportSpecEntry> live_entries;
-  if (flags->Has("watch")) {
-    auto entries = ParseExportSpecs(flags->GetString("watch", ""));
-    if (!entries.ok()) return Fail(entries.status());
-    live_entries = std::move(entries).value();
-    for (const ExportSpecEntry& entry : live_entries) {
-      if (entry.paths.size() != 1) {
-        return Fail(Status::InvalidArgument(
-            "--watch entry '" + entry.name +
-            "': a live dataset is one directory, not a striped path list"));
-      }
-      for (const ExportSpecEntry& other : static_entries) {
-        if (other.name == entry.name) {
-          return Fail(Status::InvalidArgument(
-              "session name '" + entry.name +
-              "' appears in both --serve and --watch"));
-        }
-      }
-    }
-  }
+  if (!valid.ok()) return UsageError(valid, spec);
+  auto entries = ParseDaemonEntries(*flags, "serve", "watch");
+  if (!entries.ok()) return Fail(entries.status());
 
   QueryServerOptions options;
-  options.bind_address = flags->GetString("bind", "127.0.0.1");
-  const auto port = flags->TryGetInt("port", 34602);
-  if (!port.ok()) return BadFlag(port.status());
-  if (*port < 0 || *port > 65535) {
-    return BadFlag(Status::InvalidArgument("--port must be in [0, 65535]"));
-  }
-  options.port = static_cast<uint16_t>(*port);
-  const auto delay_ms = flags->TryGetDouble("delay-ms", 0);
-  if (!delay_ms.ok()) return BadFlag(delay_ms.status());
-  options.response_delay_seconds = *delay_ms / 1000.0;
-  const auto exact_delay_ms = flags->TryGetDouble("exact-delay-ms", 0);
-  if (!exact_delay_ms.ok()) return BadFlag(exact_delay_ms.status());
-  if (*exact_delay_ms < 0) {
-    return BadFlag(
-        Status::InvalidArgument("--exact-delay-ms must be non-negative"));
-  }
-  options.exact_admission_delay_seconds = *exact_delay_ms / 1000.0;
-  const auto refresh_interval = flags->TryGetDouble("refresh-interval", 0);
-  if (!refresh_interval.ok()) return BadFlag(refresh_interval.status());
-  if (*refresh_interval < 0) {
-    return BadFlag(
-        Status::InvalidArgument("--refresh-interval must be non-negative"));
-  }
-  const auto duration = flags->TryGetDouble("duration", 0);
-  if (!duration.ok()) return BadFlag(duration.status());
-  const auto stats_interval = flags->TryGetDouble("stats-interval", 0);
-  if (!stats_interval.ok()) return BadFlag(stats_interval.status());
-  if (*stats_interval < 0) {
-    return BadFlag(
-        Status::InvalidArgument("--stats-interval must be non-negative"));
-  }
-
-  OpaqConfig config;
-  const auto run_size = flags->TryGetInt("run-size", config.run_size);
-  if (!run_size.ok()) return BadFlag(run_size.status());
-  const auto samples = flags->TryGetInt("samples", config.samples_per_run);
-  if (!samples.ok()) return BadFlag(samples.status());
-  const auto seed = flags->TryGetInt("seed", config.seed);
-  if (!seed.ok()) return BadFlag(seed.status());
-  config.run_size = static_cast<uint64_t>(*run_size);
-  config.samples_per_run = static_cast<uint64_t>(*samples);
-  config.seed = static_cast<uint64_t>(*seed);
-  Status config_valid = config.Validate();
-  if (!config_valid.ok()) return BadFlag(config_valid);
+  options.bind_address = args.GetString("bind");
+  options.port = static_cast<uint16_t>(args.GetInt("port"));
+  options.response_delay_seconds = args.GetDouble("delay-ms") / 1000.0;
+  options.exact_admission_delay_seconds =
+      args.GetDouble("exact-delay-ms") / 1000.0;
+  const double refresh_interval = args.GetDouble("refresh-interval");
 
   QueryServer server(options);
-  for (const ExportSpecEntry& entry : static_entries) {
-    WallTimer build_timer;
-    Status served = ServeEntry(&server, entry, config);
-    if (!served.ok()) {
-      return Fail(Status(served.code(), "session '" + entry.name + "': " +
-                                            served.message()));
+  for (const bool live : {false, true}) {
+    const std::string kind = live ? "live session" : "session";
+    for (const ExportSpecEntry& entry :
+         live ? entries->live : entries->fixed) {
+      WallTimer build_timer;
+      Status served = live ? ServeLive(&server, entry, config)
+                           : ServeFiles(&server, entry, config);
+      if (!served.ok()) {
+        return Fail(Status(served.code(), kind + " '" + entry.name +
+                                              "': " + served.message()));
+      }
+      auto info = server.SessionInfo(entry.name);
+      if (!info.ok()) return Fail(info.status());
+      std::cout << kind << " " << entry.name << ": " << info->total_elements
+                << " elements sketched to " << info->num_samples
+                << " samples (max rank error " << info->max_rank_error
+                << ") in " << build_timer.ElapsedSeconds() << " s"
+                << (live ? "; refreshes absorb new segments incrementally"
+                         : "")
+                << "\n";
     }
-    auto info = server.SessionInfo(entry.name);
-    if (!info.ok()) return Fail(info.status());
-    std::cout << "session " << entry.name << ": " << info->total_elements
-              << " elements sketched to " << info->num_samples
-              << " samples (max rank error " << info->max_rank_error
-              << ") in " << build_timer.ElapsedSeconds() << " s\n";
-  }
-  for (const ExportSpecEntry& entry : live_entries) {
-    WallTimer build_timer;
-    Status served = ServeLiveEntry(&server, entry, config);
-    if (!served.ok()) {
-      return Fail(Status(served.code(), "live session '" + entry.name +
-                                            "': " + served.message()));
-    }
-    auto info = server.SessionInfo(entry.name);
-    if (!info.ok()) return Fail(info.status());
-    std::cout << "live session " << entry.name << ": "
-              << info->total_elements << " elements sketched to "
-              << info->num_samples << " samples (max rank error "
-              << info->max_rank_error << ") in "
-              << build_timer.ElapsedSeconds()
-              << " s; refreshes absorb new segments incrementally\n";
   }
 
   // Latch SIGINT/SIGTERM BEFORE Start so no window exists where a signal
@@ -366,43 +188,33 @@ int Main(int argc, char** argv) {
   if (!signals.ok()) return Fail(signals);
   Status started = server.Start();
   if (!started.ok()) return Fail(started);
-  std::cout << "serving on " << server.address()
-            << " (protocol v3, unauthenticated; trusted networks only)"
-            << std::endl;
+  std::cout << "serving on " << server.address() << " (protocol v"
+            << kQueryWireVersion << ".." << options.max_wire_version
+            << ", unauthenticated; trusted networks only)" << std::endl;
 
   // Background epoch refresher: rebuild every session each interval and
   // swap atomically; queries keep being answered from the old epoch while
   // a build runs (--watch sessions refresh incrementally via Absorb).
-  // Stopped via its own cv (the shutdown latch's pipe has exactly one
-  // waiter: main).
-  std::vector<ExportSpecEntry> all_entries = static_entries;
-  all_entries.insert(all_entries.end(), live_entries.begin(),
-                     live_entries.end());
-  std::mutex refresh_mutex;
-  std::condition_variable refresh_cv;
-  bool refresh_stop = false;
+  // Stopped through its own promise (the shutdown latch's pipe has exactly
+  // one waiter: main); `refreshes` is read only after the join.
+  std::promise<void> stop_refreshing;
   uint64_t refreshes = 0;
   std::thread refresher;
-  if (*refresh_interval > 0) {
-    refresher = std::thread([&] {
-      std::unique_lock<std::mutex> lock(refresh_mutex);
-      for (;;) {
-        if (refresh_cv.wait_for(
-                lock, std::chrono::duration<double>(*refresh_interval),
-                [&] { return refresh_stop; })) {
-          return;
-        }
-        lock.unlock();
-        for (const ExportSpecEntry& entry : all_entries) {
-          Status refreshed = server.Refresh(entry.name);
-          if (!refreshed.ok()) {
-            // The old epoch keeps serving; just log and retry next tick.
-            std::cerr << "opaq_queryd: refresh of '" << entry.name
-                      << "' failed (still serving the previous epoch): "
-                      << refreshed.ToString() << std::endl;
+  if (refresh_interval > 0) {
+    refresher = std::thread([&, stop = stop_refreshing.get_future()] {
+      while (stop.wait_for(std::chrono::duration<double>(refresh_interval)) ==
+             std::future_status::timeout) {
+        for (const auto* list : {&entries->fixed, &entries->live}) {
+          for (const ExportSpecEntry& entry : *list) {
+            Status refreshed = server.Refresh(entry.name);
+            if (!refreshed.ok()) {
+              // The old epoch keeps serving; just log and retry next tick.
+              std::cerr << "opaq_queryd: refresh of '" << entry.name
+                        << "' failed (still serving the previous epoch): "
+                        << refreshed.ToString() << std::endl;
+            }
           }
         }
-        lock.lock();
         ++refreshes;
       }
     });
@@ -412,13 +224,10 @@ int Main(int argc, char** argv) {
   // (printing stats every --stats-interval seconds on the way); either way
   // Stop() joins every connection thread and the final stats print.
   const bool signalled =
-      ServeUntilShutdown(&server, *duration, *stats_interval, std::cout);
+      ServeUntilShutdown(&server, args.GetDouble("duration"),
+                         args.GetDouble("stats-interval"), std::cout);
   if (refresher.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(refresh_mutex);
-      refresh_stop = true;
-    }
-    refresh_cv.notify_all();
+    stop_refreshing.set_value();
     refresher.join();
   }
   server.Stop();

@@ -632,6 +632,26 @@ TEST(ExtentHostileTest, BadGeometryRefusesToOpen) {
   }
 }
 
+TEST(ExtentHostileTest, ElementSizeThatDisagreesWithKeyTypeRefusesTypedOpen) {
+  // An f32-tagged file whose header claims 8-byte elements is valid extent
+  // geometry, but every read would copy 8 bytes per element into 4-byte
+  // keys: each typed open must refuse it with a clean Status.
+  MemoryBlockDevice device;
+  ExtentWriterOptions options;
+  options.extent_elements = 8;
+  auto writer = ExtentWriter::Create({&device}, KeyType::kF32, 8, options);
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  const std::vector<Key> values = Iota(32);
+  ASSERT_TRUE(writer->Append(values.data(), values.size()).ok());
+  ASSERT_TRUE(writer->Finish().ok());
+  auto file = ExtentFile::Open({&device});
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  EXPECT_EQ(CheckExtentKeyType<float>(*file).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Source<float>::FromFile(&*file).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(ExtentHostileTest, StripeSetMismatchesRefuseToOpen) {
   ExtentWriterOptions options;
   options.extent_elements = 8;

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <thread>
@@ -443,51 +444,17 @@ TEST(LiveDatasetReaderTest, RunSourceErrorIsSticky) {
 
 // ------------------------------------------------------- wire v5 append ----
 
-// A minimal live export: what opaq_noded --live builds, reduced to the
-// hooks (serialised appends + a refreshing element count).
-ExportedDataset MakeLiveExport(std::shared_ptr<LiveDataset<Key>> writer) {
-  ExportedDataset dataset;
-  dataset.key_type = static_cast<uint32_t>(KeyTraits<Key>::kType);
-  dataset.element_size = sizeof(Key);
-  dataset.element_count = writer->total_elements();
-  auto mutex = std::make_shared<std::mutex>();
-  dataset.read = [writer, mutex](uint64_t first, uint64_t count,
-                                 void* out) -> Status {
-    std::lock_guard<std::mutex> lock(*mutex);
-    auto reader = LiveDatasetReader<Key>::Open(writer->dir());
-    OPAQ_RETURN_IF_ERROR(reader.status());
-    return reader->Read(first, count, static_cast<Key*>(out));
-  };
-  dataset.append = [writer, mutex](const uint8_t* elements, uint64_t count)
-      -> Result<WireAppendAck> {
-    std::lock_guard<std::mutex> lock(*mutex);
-    std::vector<Key> values(count);
-    std::memcpy(values.data(), elements, count * sizeof(Key));
-    OPAQ_RETURN_IF_ERROR(writer->Append(values));
-    WireAppendAck ack;
-    ack.total_elements = writer->total_elements();
-    ack.num_segments = writer->num_segments();
-    return ack;
-  };
-  dataset.live_count = [writer, mutex]() {
-    std::lock_guard<std::mutex> lock(*mutex);
-    return writer->total_elements();
-  };
-  dataset.owner = writer;
-  return dataset;
-}
-
 TEST(WireAppendTest, RemoteAppendRoundTripAndContractErrors) {
   auto tmp = TempDir::Make("opaq-ingest");
   ASSERT_TRUE(tmp.ok());
   const std::string dir = tmp->FilePath("live");
-  auto created = LiveDataset<Key>::Create(dir);
-  ASSERT_TRUE(created.ok());
-  auto writer =
-      std::make_shared<LiveDataset<Key>>(std::move(created).value());
+  ASSERT_TRUE(LiveDataset<Key>::Create(dir).ok());
 
+  // The live export opaq_noded --live serves.
   NodeServer node;
-  node.Export("live", MakeLiveExport(writer));
+  auto live = OpenLiveExport<Key>(dir);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  node.Export("live", std::move(live).value());
   // A static export alongside, to prove appends to it are refused.
   auto static_data = Batch(500, 77);
   MemoryBlockDevice static_device;
@@ -553,6 +520,25 @@ TEST(WireAppendTest, RemoteAppendRoundTripAndContractErrors) {
 
 // ----------------------------------- append-while-serving (the TSan row) --
 
+/// The encoded `EquiQuantiles(10)` answer a QueryClient receives.
+Result<std::vector<uint8_t>> DectilePayload(QueryClient<Key>* client) {
+  std::vector<Request> batch = {Request::EquiQuantiles(10)};
+  return client->QueryPayload({batch.data(), batch.size()});
+}
+
+/// The same answer from a from-scratch build of the live directory.
+Result<std::vector<uint8_t>> LiveRebuildPayload(const std::string& dir,
+                                                const OpaqConfig& config) {
+  auto source = Source<Key>::OpenLive(dir);
+  if (!source.ok()) return source.status();
+  auto rebuilt = Engine<Key>(config, *source).Build();
+  if (!rebuilt.ok()) return rebuilt.status();
+  std::vector<Request> batch = {Request::EquiQuantiles(10)};
+  auto local = rebuilt->Query({batch.data(), batch.size()});
+  if (!local.ok()) return local.status();
+  return EncodeQueryResultsPayload(*local);
+}
+
 TEST(IngestConcurrencyTest, AppendWhileQueryingThroughRefreshingServer) {
   auto tmp = TempDir::Make("opaq-ingest");
   ASSERT_TRUE(tmp.ok());
@@ -564,32 +550,9 @@ TEST(IngestConcurrencyTest, AppendWhileQueryingThroughRefreshingServer) {
       std::make_shared<LiveDataset<Key>>(std::move(created).value());
   ASSERT_TRUE(writer->Append(Batch(5000, 100)).ok());
 
-  // The exact builder/refresher pair opaq_queryd --watch installs.
-  auto builder = [dir, config]() -> Result<QuerySession<Key>> {
-    auto source = Source<Key>::OpenLive(dir);
-    if (!source.ok()) return source.status();
-    return Engine<Key>(config, *source).Build();
-  };
-  auto refresher =
-      [dir, config](
-          const QuerySession<Key>& current) -> Result<QuerySession<Key>> {
-    auto info = ReadLiveManifestInfo(dir);
-    if (!info.ok()) return info.status();
-    if (info->total_elements == current.total_elements()) return current;
-    auto tail = Source<Key>::OpenLive(dir, current.total_elements());
-    if (!tail.ok()) return tail.status();
-    auto delta = Engine<Key>(config, *tail).Build();
-    if (!delta.ok()) return delta.status();
-    QuerySession<Key> next = current;
-    std::vector<Source<Key>> delta_sources;
-    delta_sources.push_back(std::move(tail).value());
-    OPAQ_RETURN_IF_ERROR(
-        next.Absorb(delta->sample_list(), std::move(delta_sources)));
-    return next;
-  };
-
+  // The live session opaq_queryd --watch serves.
   QueryServer server;
-  OPAQ_CHECK_OK(server.Serve<Key>("live", builder, refresher));
+  OPAQ_CHECK_OK(server.ServeLive<Key>("live", dir, config));
   OPAQ_CHECK_OK(server.Start());
 
   std::atomic<bool> stop{false};
@@ -632,17 +595,51 @@ TEST(IngestConcurrencyTest, AppendWhileQueryingThroughRefreshingServer) {
   ASSERT_TRUE(client.ok());
   EXPECT_EQ(client->info().epoch, 1u + kAppends);
   EXPECT_EQ(client->info().total_elements, expect_total);
-  auto rebuilt = builder();
-  ASSERT_TRUE(rebuilt.ok());
-  std::vector<Request> batch = {Request::EquiQuantiles(10)};
-  auto remote = client->QueryPayload({batch.data(), batch.size()});
-  ASSERT_TRUE(remote.ok());
-  auto local = rebuilt->Query({batch.data(), batch.size()});
-  ASSERT_TRUE(local.ok());
-  auto expected = EncodeQueryResultsPayload(*local);
-  ASSERT_TRUE(expected.ok());
+  auto remote = DectilePayload(&*client);
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  auto expected = LiveRebuildPayload(dir, config);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
   EXPECT_EQ(*remote, *expected)
       << "absorbed epochs diverge from a from-scratch rebuild";
+  server.Stop();
+}
+
+TEST(IngestConcurrencyTest, RefreshAfterTheDatasetShrankRebuildsInFull) {
+  auto tmp = TempDir::Make("opaq-ingest");
+  ASSERT_TRUE(tmp.ok());
+  const std::string dir = tmp->FilePath("live");
+  const OpaqConfig config = SmallConfig();
+  {
+    auto created = LiveDataset<Key>::Create(dir);
+    ASSERT_TRUE(created.ok());
+    ASSERT_TRUE(created->Append(Batch(5000, 300)).ok());
+    ASSERT_TRUE(created->Append(Batch(2000, 301)).ok());
+  }
+  QueryServer server;
+  OPAQ_CHECK_OK(server.ServeLive<Key>("live", dir, config));
+  OPAQ_CHECK_OK(server.Start());
+
+  // Recreate the directory with less data than the serving session holds:
+  // the refresher cannot absorb a shrink, so Refresh must rebuild in full.
+  std::filesystem::remove_all(dir);
+  {
+    auto created = LiveDataset<Key>::Create(dir);
+    ASSERT_TRUE(created.ok());
+    ASSERT_TRUE(created->Append(Batch(3000, 302)).ok());
+  }
+  OPAQ_CHECK_OK(server.Refresh("live"));
+
+  auto client =
+      QueryClient<Key>::Connect("127.0.0.1", server.port(), "live");
+  ASSERT_TRUE(client.ok());
+  EXPECT_EQ(client->info().epoch, 2u);
+  EXPECT_EQ(client->info().total_elements, 3000u);
+  auto remote = DectilePayload(&*client);
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  auto expected = LiveRebuildPayload(dir, config);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  EXPECT_EQ(*remote, *expected)
+      << "the shrunk dataset is not served as a full rebuild";
   server.Stop();
 }
 
@@ -650,12 +647,11 @@ TEST(IngestConcurrencyTest, ConcurrentAppendersSerialiseOnTheNode) {
   auto tmp = TempDir::Make("opaq-ingest");
   ASSERT_TRUE(tmp.ok());
   const std::string dir = tmp->FilePath("live");
-  auto created = LiveDataset<Key>::Create(dir);
-  ASSERT_TRUE(created.ok());
-  auto writer =
-      std::make_shared<LiveDataset<Key>>(std::move(created).value());
+  ASSERT_TRUE(LiveDataset<Key>::Create(dir).ok());
   NodeServer node;
-  node.Export("live", MakeLiveExport(writer));
+  auto live = OpenLiveExport<Key>(dir);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  node.Export("live", std::move(live).value());
   ASSERT_TRUE(node.Start().ok());
 
   constexpr int kThreads = 4, kBatches = 8, kPerBatch = 500;

@@ -163,6 +163,16 @@ TEST(DataFileTest, RejectsWrongKeyType) {
   EXPECT_EQ(wrong.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(DataFileTest, RejectsElementSizeThatDisagreesWithKeyType) {
+  // An f32-tagged header claiming 8-byte elements: a typed read would copy
+  // 8 bytes per element into 4-byte keys, so the typed open refuses it.
+  MemoryBlockDevice dev;
+  auto file = DataFile::Create(&dev, KeyType::kF32, 8, 0);
+  ASSERT_TRUE(file.ok());
+  auto wrong = TypedDataFile<float>::Open(&dev);
+  EXPECT_EQ(wrong.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(DataFileTest, RejectsGarbageHeader) {
   MemoryBlockDevice dev;
   std::vector<uint8_t> junk(64, 0xFF);

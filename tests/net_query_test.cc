@@ -3,9 +3,10 @@
 // byte-identical to a single-process QuerySession, the error policy
 // (recoverable errors keep the connection; framing lies close it), exact
 // coalescing (N concurrent exact batches -> ONE shared §4 pass), epoch
-// refresh with atomic swap, and the daemons' SIGTERM handling (fork/exec
-// the real opaq_queryd / opaq_noded binaries, signal them mid-serve, and
-// assert a clean exit 0 with the final counter report).
+// refresh with atomic swap, and the real daemon binaries (fork/exec
+// opaq_queryd / opaq_noded): SIGTERM mid-serve must exit 0 with the final
+// counter report, and both must serve an f64 dataset in every storage
+// layout (plain, striped, extent, live) byte-identically to local reads.
 
 #include <gtest/gtest.h>
 
@@ -19,10 +20,17 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "core/sketch_io.h"
 #include "data/dataset.h"
+#include "ingest/live_dataset.h"
 #include "io/block_device.h"
+#include "io/codec.h"
+#include "io/data_file.h"
+#include "io/extent.h"
+#include "io/striped_data_file.h"
 #include "io/tempdir.h"
 #include "net/client.h"
 #include "net/query_client.h"
@@ -432,7 +440,8 @@ struct DaemonRun {
 
 /// Forks/execs a daemon binary, waits for its "serving on HOST:PORT" line,
 /// runs `while_serving(address)`, SIGTERMs it, and collects exit status +
-/// full output. The real binaries, the real signal path.
+/// full output (stdout and stderr). The real binaries, the real signal
+/// path. A daemon that fails at startup just exits; its status is kept.
 DaemonRun RunDaemonUntilSigterm(
     const char* binary, const std::vector<std::string>& args,
     const std::function<void(const std::string&)>& while_serving) {
@@ -443,6 +452,7 @@ DaemonRun RunDaemonUntilSigterm(
   OPAQ_CHECK(pid >= 0);
   if (pid == 0) {
     dup2(fds[1], STDOUT_FILENO);
+    dup2(fds[1], STDERR_FILENO);
     close(fds[0]);
     close(fds[1]);
     std::vector<char*> argv;
@@ -554,6 +564,215 @@ TEST(DaemonSignalTest, NodedJoinsCleanlyOnSigterm) {
       << run.output;
   EXPECT_NE(run.output.find("node.exports"), std::string::npos)
       << run.output;
+}
+
+// ------------------------------- daemons x storage formats x key types ----
+
+using F64 = double;
+
+/// One dataset both daemons serve: a name plus its files (one path = a
+/// plain or extent file, several = stripes) or its live directory.
+struct ServedLayout {
+  std::string name;
+  std::vector<std::string> paths;
+  bool live = false;
+};
+
+/// Writes the same f64 keys through the library in every layout the
+/// daemons take: plain, striped x2, extent (delta, one file), extent
+/// (zlib, striped x2) and a two-segment live directory.
+std::vector<ServedLayout> WriteF64Layouts(const TempDir& dir) {
+  DatasetSpec spec;
+  spec.n = 20000;
+  spec.seed = 5;
+  spec.distribution = Distribution::kNormal;
+  const std::vector<F64> data = GenerateDataset<F64>(spec);
+  std::vector<std::unique_ptr<FileBlockDevice>> devices;
+  auto open = [&](const std::vector<std::string>& paths) {
+    std::vector<BlockDevice*> raw;
+    for (const std::string& path : paths) {
+      auto device =
+          FileBlockDevice::Make(path, FileBlockDevice::Mode::kCreate);
+      OPAQ_CHECK_OK(device.status());
+      raw.push_back(device->get());
+      devices.push_back(std::move(device).value());
+    }
+    return raw;
+  };
+  const std::vector<ServedLayout> layouts = {
+      {"plain", {dir.FilePath("f.opaq")}},
+      {"striped", {dir.FilePath("s.s0"), dir.FilePath("s.s1")}},
+      {"delta", {dir.FilePath("d.ext")}},
+      {"zlib", {dir.FilePath("z.s0"), dir.FilePath("z.s1")}},
+      {"live", {dir.FilePath("live")}, true},
+  };
+  OPAQ_CHECK_OK(WriteDataset(data, open(layouts[0].paths)[0]));
+  OPAQ_CHECK_OK(WriteStriped(data, open(layouts[1].paths), 1500).status());
+  ExtentWriterOptions options;
+  options.extent_elements = 1000;
+  options.codec = ExtentCodec::kDelta;
+  OPAQ_CHECK_OK(WriteExtents(data, open(layouts[2].paths), options).status());
+  options.codec = CodecAvailable(ExtentCodec::kZlib) ? ExtentCodec::kZlib
+                                                     : ExtentCodec::kRaw;
+  OPAQ_CHECK_OK(WriteExtents(data, open(layouts[3].paths), options).status());
+  for (auto& device : devices) OPAQ_CHECK_OK(device->Sync());
+  auto live = LiveDataset<F64>::Create(layouts[4].paths[0]);
+  OPAQ_CHECK_OK(live.status());
+  OPAQ_CHECK_OK(live->Append({data.begin(), data.begin() + 12000}));
+  OPAQ_CHECK_OK(live->Append({data.begin() + 12000, data.end()}));
+  return layouts;
+}
+
+Source<F64> OpenLocal(const ServedLayout& layout) {
+  auto source = layout.live ? Source<F64>::OpenLive(layout.paths[0])
+                : layout.paths.size() == 1
+                    ? Source<F64>::Open(layout.paths[0])
+                    : Source<F64>::OpenStriped(layout.paths);
+  OPAQ_CHECK_OK(source.status());
+  return std::move(source).value();
+}
+
+QuerySession<F64> Sketch(const Source<F64>& source) {
+  auto session = Engine<F64>(SmallConfig(), source).Build();
+  OPAQ_CHECK_OK(session.status());
+  return std::move(session).value();
+}
+
+std::vector<uint8_t> SketchBytes(const Source<F64>& source) {
+  MemoryBlockDevice out;
+  OPAQ_CHECK_OK(SaveSampleList(Sketch(source).sample_list(), &out));
+  auto size = out.Size();
+  OPAQ_CHECK_OK(size.status());
+  std::vector<uint8_t> bytes(*size);
+  OPAQ_CHECK_OK(out.ReadAt(0, bytes.data(), bytes.size()));
+  return bytes;
+}
+
+const std::vector<QueryRequest<F64>> kDectiles = {
+    QueryRequest<F64>::EquiQuantiles(10)};
+
+/// A daemon's dataset list flags: static entries and live directories.
+std::vector<std::string> EntryFlags(const std::vector<ServedLayout>& layouts,
+                                    const std::string& static_flag,
+                                    const std::string& live_flag) {
+  std::string fixed, live;
+  for (const ServedLayout& layout : layouts) {
+    std::string& list = layout.live ? live : fixed;
+    list += (list.empty() ? "" : ",") + layout.name + "=";
+    for (size_t i = 0; i < layout.paths.size(); ++i) {
+      list += (i == 0 ? "" : "+") + layout.paths[i];
+    }
+  }
+  return {"--" + static_flag + "=" + fixed, "--" + live_flag + "=" + live};
+}
+
+TEST(DaemonFormatTest, NodedServesEveryLayoutByteIdentically) {
+  auto dir = TempDir::Make("noded_formats");
+  OPAQ_CHECK_OK(dir.status());
+  const std::vector<ServedLayout> layouts = WriteF64Layouts(*dir);
+  std::vector<std::string> args = EntryFlags(layouts, "export", "live");
+  args.push_back("--port=0");
+  std::vector<std::vector<uint8_t>> remote(layouts.size());
+  DaemonRun run = RunDaemonUntilSigterm(
+      OPAQ_NODED_BIN, args, [&](const std::string& address) {
+        for (size_t i = 0; i < layouts.size(); ++i) {
+          auto source =
+              Source<F64>::OpenRemote(address + "/" + layouts[i].name);
+          OPAQ_CHECK_OK(source.status());
+          remote[i] = SketchBytes(*source);
+        }
+      });
+  ASSERT_EQ(run.exit_code, 0) << run.output;
+  for (size_t i = 0; i < layouts.size(); ++i) {
+    EXPECT_FALSE(remote[i].empty()) << layouts[i].name;
+    EXPECT_EQ(remote[i], SketchBytes(OpenLocal(layouts[i])))
+        << layouts[i].name << " sketches differently through opaq_noded\n"
+        << run.output;
+  }
+}
+
+TEST(DaemonFormatTest, QuerydServesEveryLayoutByteIdentically) {
+  auto dir = TempDir::Make("queryd_formats");
+  OPAQ_CHECK_OK(dir.status());
+  const std::vector<ServedLayout> layouts = WriteF64Layouts(*dir);
+  std::vector<std::string> args = EntryFlags(layouts, "serve", "watch");
+  const OpaqConfig config = SmallConfig();
+  args.insert(args.end(),
+              {"--port=0", "--run-size=" + std::to_string(config.run_size),
+               "--samples=" + std::to_string(config.samples_per_run)});
+  std::vector<std::vector<uint8_t>> remote(layouts.size());
+  DaemonRun run = RunDaemonUntilSigterm(
+      OPAQ_QUERYD_BIN, args, [&](const std::string& address) {
+        for (size_t i = 0; i < layouts.size(); ++i) {
+          auto client = QueryClient<F64>::Connect(
+              "127.0.0.1", PortOf(address), layouts[i].name);
+          OPAQ_CHECK_OK(client.status());
+          auto payload =
+              client->QueryPayload({kDectiles.data(), kDectiles.size()});
+          OPAQ_CHECK_OK(payload.status());
+          remote[i] = std::move(payload).value();
+        }
+      });
+  ASSERT_EQ(run.exit_code, 0) << run.output;
+  for (size_t i = 0; i < layouts.size(); ++i) {
+    auto local =
+        Sketch(OpenLocal(layouts[i])).Query({kDectiles.data(),
+                                             kDectiles.size()});
+    ASSERT_TRUE(local.ok());
+    auto expected = EncodeQueryResultsPayload(*local);
+    ASSERT_TRUE(expected.ok());
+    EXPECT_EQ(remote[i], *expected)
+        << layouts[i].name << " answers differently through opaq_queryd\n"
+        << run.output;
+  }
+}
+
+TEST(DaemonFormatTest, DaemonsRefuseAnElementSizeThatDisagreesWithTheKey) {
+  // f32-tagged files whose headers claim 8-byte elements, plain and
+  // extent: serving them would copy 8 bytes per element into 4-byte key
+  // buffers, so both daemons must refuse them at startup with exit 1.
+  auto dir = TempDir::Make("daemon_element_size");
+  OPAQ_CHECK_OK(dir.status());
+  const std::string plain = dir->FilePath("p.opaq");
+  const std::string extent = dir->FilePath("e.ext");
+  {
+    auto device = FileBlockDevice::Make(plain, FileBlockDevice::Mode::kCreate);
+    OPAQ_CHECK_OK(device.status());
+    auto file = DataFile::Create(device->get(), KeyType::kF32, 8, 64);
+    OPAQ_CHECK_OK(file.status());
+    const std::vector<uint64_t> values(64, 1);
+    OPAQ_CHECK_OK(file->WriteElements(0, values.size(), values.data()));
+    OPAQ_CHECK_OK((*device)->Sync());
+  }
+  {
+    auto device =
+        FileBlockDevice::Make(extent, FileBlockDevice::Mode::kCreate);
+    OPAQ_CHECK_OK(device.status());
+    ExtentWriterOptions options;
+    options.extent_elements = 16;
+    auto writer =
+        ExtentWriter::Create({device->get()}, KeyType::kF32, 8, options);
+    OPAQ_CHECK_OK(writer.status());
+    const std::vector<uint64_t> values(64, 1);
+    OPAQ_CHECK_OK(writer->Append(values.data(), values.size()));
+    OPAQ_CHECK_OK(writer->Finish());
+    OPAQ_CHECK_OK((*device)->Sync());
+  }
+  for (const std::string& path : {plain, extent}) {
+    for (const auto& [binary, flag] :
+         {std::pair<const char*, std::string>{OPAQ_NODED_BIN, "--export"},
+          {OPAQ_QUERYD_BIN, "--serve"}}) {
+      SCOPED_TRACE(std::string(binary) + " " + path);
+      bool served = false;
+      DaemonRun run = RunDaemonUntilSigterm(
+          binary, {flag + "=bad=" + path, "--port=0"},
+          [&](const std::string&) { served = true; });
+      EXPECT_FALSE(served) << run.output;
+      EXPECT_EQ(run.exit_code, 1) << run.output;
+      EXPECT_NE(run.output.find("different key type"), std::string::npos)
+          << run.output;
+    }
+  }
 }
 
 }  // namespace
