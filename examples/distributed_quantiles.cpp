@@ -3,17 +3,17 @@
 // multi-shard `Engine` consumes them through `Source::OpenRemote` and
 // answers a batched query with certified brackets plus exact values.
 //
-// Under wire v2 (the default) each node runs the paper's sample phase and
-// §4 filter scan itself and ships only sample lists and bracket survivors;
-// under `--wire-version=1` the client streams every run over the wire and
-// computes locally. Either way the punchline of the RunProvider seam
+// With node compute on (the default) each node runs the paper's sample
+// phase and §4 filter scan itself and ships only sample lists and bracket
+// survivors; under `--node-compute=0` the client streams every run over
+// the wire and computes locally. Either way the punchline of the RunProvider seam
 // holds: the distributed answers are asserted IDENTICAL
 // (bracket-for-bracket, value-for-value) to a single-process run over the
 // same logical data. The network, like prefetching and striping before
 // it, moves time and bytes — never data values.
 //
 // Run:  ./distributed_quantiles [--shards=3] [--per-shard=200000]
-//       [--samples=256] [--wire-version=2]
+//       [--samples=256] [--node-compute=1]
 
 #include <iostream>
 #include <memory>
@@ -29,11 +29,9 @@ int main(int argc, char** argv) {
   const int shards = static_cast<int>(flags->GetInt("shards", 3));
   const uint64_t per_shard = flags->GetInt("per-shard", 200000);
   const uint64_t samples = flags->GetInt("samples", 256);
-  const int wire_version = static_cast<int>(flags->GetInt("wire-version", 2));
   OPAQ_CHECK(shards >= 1);
-  OPAQ_CHECK(wire_version >= 1 && wire_version <= 2);
   NodeClientOptions client_options;
-  client_options.max_wire_version = static_cast<uint16_t>(wire_version);
+  client_options.node_compute = flags->GetInt("node-compute", 1) != 0;
 
   OpaqConfig config;
   config.run_size = 1 << 14;
@@ -70,11 +68,10 @@ int main(int argc, char** argv) {
 
     auto remote = Source<uint64_t>::OpenRemote(spec_text, client_options);
     OPAQ_CHECK_OK(remote.status());
-    std::cout << "       wire v"
-              << (remote->remote_compute() ? 2 : 1) << " ("
+    std::cout << "       "
               << (remote->remote_compute() ? "node-side compute"
                                            : "range streaming")
-              << ")\n";
+              << "\n";
     remote_shards.push_back(std::move(remote).value());
     local_shards.push_back(Source<uint64_t>::FromFile(files.back().get()));
   }

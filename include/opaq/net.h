@@ -10,15 +10,18 @@
 ///    directories (`OpenLiveExport`), on a port; thread per connection,
 ///    bounded reads, error frames instead of crashes. `opaq_noded` is its
 ///    CLI.
-///  - `RemoteRunProvider<K>` (net/remote_source.h) — the v1 client
-///    backend: pipelined request-ahead run streaming that overlaps network
-///    latency with compute exactly as async disk I/O does.
-///  - `RemoteComputeClient<K>` (net/remote_compute.h) — the v2 client:
-///    pushes the paper's sample phase (`SampleRuns`) and §4 filter scan
+///  - `RemoteRunProvider<K>` (net/remote_source.h) — the one remote
+///    streaming backend: one handshake (nodes must speak wire v4 or
+///    newer), then pipelined request-ahead run streaming through the one
+///    pull op the export is served with (packed extents or element
+///    ranges), overlapping network latency with compute exactly as async
+///    disk I/O does.
+///  - `RemoteComputeClient<K>` (net/remote_compute.h) — pushes the
+///    paper's sample phase (`SampleRuns`) and §4 filter scan
 ///    (`ExactPass`) to the node, shipping O(s) results instead of O(n)
 ///    raw runs. Most users reach both through
-///    `Source<K>::OpenRemote("host:port/dataset")`, which negotiates the
-///    version per node and falls back to v1 streaming automatically.
+///    `Source<K>::OpenRemote("host:port/dataset")`, which attaches the
+///    compute client unless `NodeClientOptions::node_compute` is off.
 ///  - `QueryServer` (net/query_server.h) / `QueryClient<K>`
 ///    (net/query_client.h) — the query-serving layer (v3 query ops, v6
 ///    stats): sketch once at startup, then answer millions of batched

@@ -291,47 +291,21 @@ class QuerySession {
     const uint64_t budget = exact_memory_budget_ != 0
                                 ? exact_memory_budget_
                                 : internal_exact::DefaultExactBudget(estimates);
-    // One shard's scan, compute-first: a v2 remote shard runs the filter
-    // pass NODE-SIDE (one RPC, only counts + candidates come back) and the
-    // result folds into the accumulator exactly as a local scan's would;
-    // Unimplemented (untyped export) falls back to streaming the shard's
-    // runs. Node-side the budget bounds each node's own kept sets; the
+    // One shard's scan: a remote shard with node-side compute runs the
+    // filter pass NODE-SIDE (one RPC, only counts + candidates come back)
+    // and the result folds into the accumulator exactly as a local scan's
+    // would. Node-side the budget bounds each node's own kept sets; the
     // shared counter keeps bounding the cross-shard total here.
     auto scan_shard = [&](const Source<K>& source,
                           internal_exact::BracketAccumulator<K>* acc,
                           std::atomic<uint64_t>* shared_held) -> Status {
       if (const RemoteComputeClient<K>* compute = source.remote_compute()) {
-        auto scan =
-            compute->ExactPass(estimates, config_.read_options(), budget);
-        if (scan.ok()) {
-          uint64_t added = 0;
-          for (size_t q = 0; q < estimates.size(); ++q) {
-            acc->below[q] += scan->below[q];
-            added += scan->kept[q].size();
-            if (acc->kept[q].empty()) {
-              acc->kept[q] = std::move(scan->kept[q]);
-            } else {
-              acc->kept[q].insert(acc->kept[q].end(), scan->kept[q].begin(),
-                                  scan->kept[q].end());
-            }
-          }
-          acc->held += added;
-          const uint64_t held_now =
-              shared_held != nullptr
-                  ? shared_held->fetch_add(added,
-                                           std::memory_order_relaxed) +
-                        added
-                  : acc->held;
-          if (held_now > budget) {
-            return Status::ResourceExhausted(
-                "brackets hold more elements than the memory budget; "
-                "increase samples_per_run or the budget");
-          }
-          return Status::OK();
-        }
-        if (scan.status().code() != StatusCode::kUnimplemented) {
-          return scan.status();
-        }
+        OPAQ_ASSIGN_OR_RETURN(
+            WireExactScan<K> scan,
+            compute->ExactPass(estimates, config_.read_options(), budget));
+        const uint64_t added =
+            acc->Merge(scan.below, std::move(scan.kept));
+        return acc->Charge(added, budget, shared_held);
       }
       return internal_exact::AccumulateBrackets(source.provider(), estimates,
                                                 config_.read_options(),
@@ -362,18 +336,11 @@ class QuerySession {
     for (std::thread& thread : threads) thread.join();
     for (const Status& status : statuses) OPAQ_RETURN_IF_ERROR(status);
     // Merge by moving shard 0 wholesale and releasing each further shard's
-    // buffers right after appending, so peak memory stays near the budget
-    // (plus one shard) instead of doubling it.
+    // buffers as it folds in, so peak memory stays near the budget (plus
+    // one shard) instead of doubling it.
     internal_exact::BracketAccumulator<K> merged = std::move(accs[0]);
-    merged.held = shared_held.load(std::memory_order_relaxed);
     for (size_t shard = 1; shard < accs.size(); ++shard) {
-      for (size_t q = 0; q < estimates.size(); ++q) {
-        merged.below[q] += accs[shard].below[q];
-        merged.kept[q].insert(merged.kept[q].end(),
-                              accs[shard].kept[q].begin(),
-                              accs[shard].kept[q].end());
-      }
-      std::vector<std::vector<K>>().swap(accs[shard].kept);
+      merged.Merge(accs[shard].below, std::move(accs[shard].kept));
     }
     return internal_exact::SelectWithinBrackets(estimates, &merged);
   }

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/estimator.h"
@@ -27,6 +28,46 @@ struct BracketAccumulator {
 
   explicit BracketAccumulator(size_t num_estimates)
       : below(num_estimates, 0), kept(num_estimates) {}
+
+  /// Folds a partial pass over other data (same brackets) into this one —
+  /// the one merge behind a remote node's scan, the multi-shard pass and
+  /// the parallel root: below-counts add and kept sets append (moved in
+  /// whole where this side holds none yet). `held` counts the appended
+  /// elements; returns how many there were. Selection is order-insensitive,
+  /// so the merged answer equals one sequential scan's.
+  uint64_t Merge(const std::vector<uint64_t>& more_below,
+                 std::vector<std::vector<K>> more_kept) {
+    uint64_t added = 0;
+    for (size_t q = 0; q < below.size(); ++q) {
+      below[q] += more_below[q];
+      added += more_kept[q].size();
+      if (kept[q].empty()) {
+        kept[q] = std::move(more_kept[q]);
+      } else {
+        kept[q].insert(kept[q].end(), more_kept[q].begin(),
+                       more_kept[q].end());
+      }
+    }
+    held += added;
+    return added;
+  }
+
+  /// Charges `added` newly kept elements against `budget`: the total across
+  /// every accumulator sharing `shared_held` when given, else this one's
+  /// `held` (which must already count them).
+  Status Charge(uint64_t added, uint64_t budget,
+                std::atomic<uint64_t>* shared_held) const {
+    const uint64_t held_now =
+        shared_held != nullptr
+            ? shared_held->fetch_add(added, std::memory_order_relaxed) + added
+            : held;
+    if (held_now > budget) {
+      return Status::ResourceExhausted(
+          "brackets hold more elements than the memory budget; increase "
+          "samples_per_run or the budget");
+    }
+    return Status::OK();
+  }
 };
 
 /// Rejects estimates whose bracket is not a certificate.
@@ -68,15 +109,8 @@ Status AccumulateBrackets(const RunProvider<K>& provider,
         } else if (!(e.upper < v)) {  // lower <= v <= upper
           acc->kept[q].push_back(v);
           ++acc->held;
-          const uint64_t held_now =
-              shared_held != nullptr
-                  ? shared_held->fetch_add(1, std::memory_order_relaxed) + 1
-                  : acc->held;
-          if (held_now > memory_budget_elements) {
-            return Status::ResourceExhausted(
-                "brackets hold more elements than the memory budget; "
-                "increase samples_per_run or the budget");
-          }
+          OPAQ_RETURN_IF_ERROR(
+              acc->Charge(1, memory_budget_elements, shared_held));
         }
       }
     }

@@ -6,9 +6,11 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
+#include <random>
 
 #include "util/crc32.h"
 
@@ -22,6 +24,16 @@ std::string LiveSegmentFileName(uint32_t sequence) {
   char name[32];
   std::snprintf(name, sizeof(name), "seg-%06u.opaq", sequence);
   return name;
+}
+
+uint64_t NewLiveNonce() {
+  std::random_device device;
+  // The clock term keeps nonces distinct where random_device is a weak,
+  // deterministic source.
+  const uint64_t random = (static_cast<uint64_t>(device()) << 32) ^ device();
+  return random ^ static_cast<uint64_t>(std::chrono::steady_clock::now()
+                                            .time_since_epoch()
+                                            .count());
 }
 
 bool LivePathExists(const std::string& path) {
@@ -89,6 +101,7 @@ Result<LiveManifestInfo> ReadLiveManifest(BlockDevice* device) {
   LiveManifestInfo info;
   info.key_type = static_cast<KeyType>(header.key_type);
   info.element_size = header.element_size;
+  info.nonce = header.nonce;
   // Recovery scan: keep records while they are whole, CRC-clean, and
   // consistent with the running totals; stop at the first that is not.
   // Everything past the stop point is a crashed writer's torn tail (or

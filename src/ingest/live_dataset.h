@@ -58,7 +58,11 @@ struct LiveManifestHeader {
   uint32_t key_type = 0;
   uint32_t element_size = 0;
   uint32_t flags = 0;  // reserved, must be 0
-  uint8_t reserved[40] = {};
+  /// Random per `LiveDataset::Create`, so a directory recreated under the
+  /// same path is told apart from one that only grew. Manifests written
+  /// before the field existed carry 0 here; readers never validate it.
+  uint64_t nonce = 0;
+  uint8_t reserved[32] = {};
 };
 static_assert(sizeof(LiveManifestHeader) == 64);
 static_assert(std::is_trivially_copyable_v<LiveManifestHeader>);
@@ -87,6 +91,9 @@ uint32_t LiveRecordCrc(const LiveManifestRecord& record);
 /// Segment file name for 1-based `sequence`: "seg-000001.opaq".
 std::string LiveSegmentFileName(uint32_t sequence);
 
+/// A fresh random creation nonce for a new MANIFEST.
+uint64_t NewLiveNonce();
+
 /// True when `path` exists (any file type).
 bool LivePathExists(const std::string& path);
 
@@ -105,6 +112,7 @@ Status SyncLiveDirectory(const std::string& dir);
 struct LiveManifestInfo {
   KeyType key_type = KeyType::kU64;
   uint32_t element_size = 0;
+  uint64_t nonce = 0;  // LiveManifestHeader::nonce
   std::vector<LiveManifestRecord> records;
   uint64_t total_elements = 0;  // == records.back().total_elements, or 0
 };
@@ -157,6 +165,7 @@ class LiveDataset {
     LiveManifestHeader header;
     header.key_type = static_cast<uint32_t>(KeyTraits<K>::kType);
     header.element_size = sizeof(K);
+    header.nonce = NewLiveNonce();
     OPAQ_RETURN_IF_ERROR(
         (*manifest)->WriteAt(0, &header, sizeof(header)));
     if (options.durable_sync) {

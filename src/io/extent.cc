@@ -425,35 +425,4 @@ Status ExtentFile::DecodeExtent(uint64_t e, bool verify_checksums,
                             verify_checksums, out, stats_.get());
 }
 
-Status ExtentFile::ReadElements(uint64_t first, uint64_t count,
-                                void* out) const {
-  if (first > header_.total_elements ||
-      count > header_.total_elements - first) {
-    return Status::OutOfRange(
-        "read [" + std::to_string(first) + ", +" + std::to_string(count) +
-        ") passes the end (" + std::to_string(header_.total_elements) +
-        " elements)");
-  }
-  if (count == 0) return Status::OK();
-  uint8_t* dst = static_cast<uint8_t*>(out);
-  std::vector<uint8_t> scratch;
-  std::vector<uint8_t> extent_buf;
-  const uint64_t end = first + count;
-  for (uint64_t e = first / header_.extent_elements;
-       e * header_.extent_elements < end; ++e) {
-    const uint64_t extent_start = e * header_.extent_elements;
-    const uint64_t extent_len = ExtentLength(e);
-    extent_buf.resize(extent_len * header_.element_size);
-    OPAQ_RETURN_IF_ERROR(DecodeExtent(e, /*verify_checksums=*/true, &scratch,
-                                      extent_buf.data()));
-    const uint64_t start = std::max(extent_start, first);
-    const uint64_t stop = std::min(extent_start + extent_len, end);
-    std::memcpy(dst + (start - first) * header_.element_size,
-                extent_buf.data() + (start - extent_start) *
-                                        header_.element_size,
-                (stop - start) * header_.element_size);
-  }
-  return Status::OK();
-}
-
 }  // namespace opaq

@@ -212,13 +212,6 @@ class ExtentFile {
   Status DecodeExtent(uint64_t e, bool verify_checksums,
                       std::vector<uint8_t>* scratch, void* out) const;
 
-  /// Random-access element read (bounds-checked): decodes the covering
-  /// extents and copies out `[first, first + count)` — how a data node
-  /// serves v1 `kReadRange` clients from an extent export. O(count +
-  /// extent_elements) work per call; sequential consumers should stream
-  /// through `ExtentFileProvider` instead.
-  Status ReadElements(uint64_t first, uint64_t count, void* out) const;
-
   /// Cumulative unpack accounting across all readers of this file.
   const ExtentStats& stats() const { return *stats_; }
 

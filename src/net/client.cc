@@ -1,6 +1,5 @@
 #include "net/client.h"
 
-#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -66,38 +65,28 @@ Status NodeClient::Ping() {
   return pong.status();
 }
 
-Result<uint16_t> NodeClient::Hello(uint16_t my_max_version) {
+Result<uint16_t> NodeClient::Hello() {
   WireHello hello;
-  hello.max_version = my_max_version;
   OPAQ_RETURN_IF_ERROR(
       SendFrame(conn_, WireOp::kHello, &hello, sizeof(hello)));
-  OPAQ_ASSIGN_OR_RETURN(WireFrame frame,
-                        ReceiveExpected(conn_, WireOp::kHelloAck));
-  if (frame.payload.size() < sizeof(WireHello)) {
+  auto frame = ReceiveExpected(conn_, WireOp::kHelloAck);
+  if (!frame.ok()) {
+    return Status(frame.status().code(),
+                  "wire handshake with " + peer() +
+                      " failed: " + frame.status().message());
+  }
+  if (frame->payload.size() < sizeof(WireHello)) {
     return Status::IoError("HELLO_ACK payload shorter than its header");
   }
   WireHello ack;
-  std::memcpy(&ack, frame.payload.data(), sizeof(ack));
-  if (ack.max_version < kWireVersion) {
-    return Status::IoError("node announced nonsensical wire version " +
-                           std::to_string(ack.max_version));
+  std::memcpy(&ack, frame->payload.data(), sizeof(ack));
+  if (ack.max_version < kMinNodeWireVersion) {
+    return Status::FailedPrecondition(
+        "data node " + peer() + " speaks wire v" +
+        std::to_string(ack.max_version) + "; this client needs v" +
+        std::to_string(kMinNodeWireVersion) + " or newer");
   }
   return ack.max_version;
-}
-
-Result<uint16_t> NegotiateWireVersion(const RemoteSpec& spec,
-                                      const NodeClientOptions& options) {
-  if (options.max_wire_version <= kWireVersion) return kWireVersion;
-  OPAQ_ASSIGN_OR_RETURN(NodeClient probe,
-                        NodeClient::Connect(spec.host, spec.port, options));
-  auto node_max = probe.Hello(options.max_wire_version);
-  if (!node_max.ok()) {
-    // The kHello frame is itself a version-2 artifact: a v1-only node
-    // rejects its header and hangs up. That is the fallback signal, not a
-    // failure — the node is alive (Connect succeeded) and speaks v1.
-    return kWireVersion;
-  }
-  return std::min<uint16_t>(options.max_wire_version, *node_max);
 }
 
 Result<WireDatasetInfo> NodeClient::OpenDataset(const std::string& name) {

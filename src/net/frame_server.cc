@@ -66,14 +66,6 @@ MetricsSnapshot FrameServer::StatsSnapshot() {
 
 Status FrameServer::Start() {
   OPAQ_CHECK(!started_) << "FrameServer::Start called twice";
-  if (options_.max_wire_version < kWireVersion ||
-      options_.max_wire_version > kMaxWireVersion) {
-    return Status::InvalidArgument(
-        "max_wire_version of " + std::to_string(options_.max_wire_version) +
-        " is outside this build's supported range [" +
-        std::to_string(kWireVersion) + ", " +
-        std::to_string(kMaxWireVersion) + "]");
-  }
   OPAQ_RETURN_IF_ERROR(ValidateStart());
   auto listener = TcpListener::Bind(options_.bind_address, options_.port);
   if (!listener.ok()) return listener.status();
@@ -165,16 +157,6 @@ void FrameServer::Serve(TcpConnection* conn) {
     }
     bytes_received_.fetch_add(sizeof(header), std::memory_order_relaxed);
     Status valid = ValidateFrameHeader(header);
-    if (valid.ok() && header.version > options_.max_wire_version) {
-      // This build could parse the frame, but the operator capped the server
-      // below it — reject exactly as an old build would, so version-capped
-      // servers are faithful stand-ins for real old nodes (and newer clients
-      // read the "version" error as "fall back").
-      valid = Status::IoError(
-          "unsupported wire protocol version " +
-          std::to_string(header.version) + " (this node speaks at most " +
-          std::to_string(options_.max_wire_version) + ")");
-    }
     if (!valid.ok()) {
       // The stream cannot be trusted past a malformed header (we may be
       // mid-garbage); answer once and hang up.
@@ -205,22 +187,37 @@ void FrameServer::Serve(TcpConnection* conn) {
       std::this_thread::sleep_for(std::chrono::duration<double>(
           options_.response_delay_seconds));
     }
-    if (static_cast<WireOp>(frame.op) == WireOp::kStats) {
-      // Served here, in the shared transport loop, so EVERY daemon built on
-      // FrameServer answers stats — derived HandleFrames never see the op.
+    // The handshake and stats ops are served here, in the shared transport
+    // loop, so EVERY daemon built on FrameServer answers them — derived
+    // HandleFrames never see either op.
+    bool keep_open;
+    if (static_cast<WireOp>(frame.op) == WireOp::kHello) {
+      keep_open = HandleHello(conn, frame);
+    } else if (static_cast<WireOp>(frame.op) == WireOp::kStats) {
       std::vector<uint8_t> payload = EncodeStatsPayload(StatsSnapshot());
-      if (!SendCounted(conn, WireOp::kStatsData, payload.data(),
-                       payload.size())) {
-        conn->ShutdownNow();
-        return;
-      }
-      continue;
+      keep_open = SendCounted(conn, WireOp::kStatsData, payload.data(),
+                              payload.size());
+    } else {
+      keep_open = HandleFrame(conn, frame);
     }
-    if (!HandleFrame(conn, frame)) {
+    if (!keep_open) {
       conn->ShutdownNow();
       return;
     }
   }
+}
+
+bool FrameServer::HandleHello(TcpConnection* conn, const WireFrame& frame) {
+  if (frame.payload.size() < sizeof(WireHello)) {
+    SendErrorCounted(conn,
+                     Status::IoError("HELLO payload shorter than its header"));
+    return false;  // framing is off; close
+  }
+  // The peer's announced version needs no inspection: the server discloses
+  // its own newest, and the client decides whether that is enough.
+  WireHello ack;
+  ack.max_version = kMaxWireVersion;
+  return SendCounted(conn, WireOp::kHelloAck, &ack, sizeof(ack));
 }
 
 std::vector<FlagSpec> ServingFlags(const char* default_port) {

@@ -27,11 +27,6 @@ struct FrameServerOptions {
   /// Artificial delay before every response frame — the latency-injectable
   /// loopback transport the remote-vs-local benches are built on. 0 = off.
   double response_delay_seconds = 0;
-  /// Newest protocol version this server answers. Frames announcing a newer
-  /// version are rejected with an error frame mentioning "version" — the
-  /// signal a client's `kHello` probe reads as "speak older". Must be in
-  /// [1, kMaxWireVersion]; `Start` rejects anything else.
-  uint16_t max_wire_version = kMaxWireVersion;
   /// Registry this server publishes its metrics into and serves over the
   /// wire (`kStats`). nullptr = the process-global registry; tests running
   /// several servers in one process inject private registries to keep
@@ -41,6 +36,7 @@ struct FrameServerOptions {
 
 /// The transport half every OPAQ wire daemon shares: bind/listen, one
 /// thread per connection, bounded frame reads with CRC and version checks,
+/// the `kHello` handshake,
 /// per-frame response delay injection, traffic counters, and an ordered
 /// `Stop()` that joins every thread. `NodeServer` (data/compute ops) and
 /// `QueryServer` (query-serving ops) are thin `HandleFrame` overrides on
@@ -64,8 +60,8 @@ class FrameServer {
   FrameServer& operator=(const FrameServer&) = delete;
 
   /// Binds, listens, and spawns the accept loop. Fails (without aborting)
-  /// on an unusable address/port, an out-of-range `max_wire_version`, or
-  /// whatever the derived `ValidateStart` rejects.
+  /// on an unusable address/port or whatever the derived `ValidateStart`
+  /// rejects.
   Status Start();
 
   /// Shuts the listener and every live connection down and joins all
@@ -113,8 +109,9 @@ class FrameServer {
   /// Handles one request frame (header already validated, CRC checked,
   /// `requests_served` counted, response delay applied). Returns false when
   /// the connection must close (protocol violation or transport failure).
-  /// `kStats` never reaches this — the base `Serve` loop answers it, so
-  /// every daemon built on FrameServer serves stats without opting in.
+  /// `kHello` and `kStats` never reach this — the base `Serve` loop
+  /// answers them, so every daemon built on FrameServer shakes hands and
+  /// serves stats without opting in.
   virtual bool HandleFrame(TcpConnection* conn, const WireFrame& frame) = 0;
 
   /// Copies this server's counters into `registry` under stable names
@@ -132,7 +129,6 @@ class FrameServer {
   bool SendErrorCounted(TcpConnection* conn, const Status& status);
 
   bool started() const { return started_; }
-  const FrameServerOptions& frame_options() const { return options_; }
 
  private:
   struct Connection {
@@ -149,6 +145,8 @@ class FrameServer {
   /// one).
   void ReapFinishedConnections();
   void Serve(TcpConnection* conn);
+  /// Answers `kHello` with this build's newest version; false = close.
+  bool HandleHello(TcpConnection* conn, const WireFrame& frame);
 
   FrameServerOptions options_;
   TcpListener listener_;

@@ -6,18 +6,18 @@
 namespace opaq {
 
 namespace {
-// Recoverable refusals: the client falls back to another op for the
-// dataset, so the connection stays open.
-Status Untyped(const std::string& name) {
-  return Status::Unimplemented(
-      "dataset '" + name +
-      "' is exported untyped; this node can only serve its raw ranges, not "
-      "compute over it");
-}
+// Recoverable refusals of the pull op an export is not served through: the
+// connection stays open. A client learns an export's storage from
+// `kOpenExtents`, so only a confused client ever sees these.
 Status NotExtents(const std::string& name) {
   return Status::Unimplemented(
       "dataset '" + name +
-      "' is not stored as compressed extents; stream its ranges instead");
+      "' is not stored as compressed extents; read it with READ_RANGE");
+}
+Status NotRanges(const std::string& name) {
+  return Status::Unimplemented(
+      "dataset '" + name +
+      "' is stored as compressed extents; read it with READ_EXTENTS");
 }
 
 FrameServerOptions ToFrameOptions(const NodeServerOptions& options) {
@@ -25,7 +25,6 @@ FrameServerOptions ToFrameOptions(const NodeServerOptions& options) {
   frame_options.bind_address = options.bind_address;
   frame_options.port = options.port;
   frame_options.response_delay_seconds = options.response_delay_seconds;
-  frame_options.max_wire_version = options.max_wire_version;
   frame_options.metrics = options.metrics;
   return frame_options;
 }
@@ -45,21 +44,14 @@ const ExportedDataset& NodeServer::Export(const std::string& name,
   OPAQ_CHECK(!started()) << "Export after Start: the export map is frozen "
                             "once connection threads may read it";
   OPAQ_CHECK(!name.empty()) << "exported dataset needs a name";
-  OPAQ_CHECK(dataset.read != nullptr);
+  OPAQ_CHECK(dataset.sample_runs != nullptr && dataset.exact_pass != nullptr)
+      << "export '" << name << "' binds no compute hooks";
+  const bool extents = dataset.extent_elements > 0;
+  OPAQ_CHECK(extents == (dataset.read_stored_extent != nullptr) &&
+             extents != (dataset.read != nullptr))
+      << "export '" << name << "' must bind exactly one pull op";
   OPAQ_CHECK_GT(dataset.element_size, 0u);
   return exports_[name] = std::move(dataset);
-}
-
-void NodeServer::Export(const std::string& name, const DataFile* file) {
-  OPAQ_CHECK(file != nullptr);
-  ExportedDataset dataset;
-  dataset.key_type = static_cast<uint32_t>(file->key_type());
-  dataset.element_size = file->element_size();
-  dataset.element_count = file->element_count();
-  dataset.read = [file](uint64_t first, uint64_t count, void* out) {
-    return file->ReadElements(first, count, out);
-  };
-  Export(name, std::move(dataset));
 }
 
 Status NodeServer::ValidateStart() {
@@ -143,6 +135,7 @@ bool NodeServer::HandleFrame(TcpConnection* conn, const WireFrame& frame) {
       auto found = FindExport(name);
       if (!found.ok()) return SendErrorCounted(conn, found.status());
       const ExportedDataset& dataset = **found;
+      if (!dataset.read) return SendErrorCounted(conn, NotRanges(name));
       if (range.count == 0) {
         return SendErrorCounted(
             conn, Status::InvalidArgument("READ_RANGE of zero elements"));
@@ -180,19 +173,6 @@ bool NodeServer::HandleFrame(TcpConnection* conn, const WireFrame& frame) {
       return SendCounted(conn, WireOp::kRangeData, data.data(), data.size());
     }
 
-    case WireOp::kHello: {
-      if (frame.payload.size() < sizeof(WireHello)) {
-        SendErrorCounted(conn, Status::IoError(
-                                   "HELLO payload shorter than its header"));
-        return false;  // framing is off; close
-      }
-      // The peer's announced version needs no inspection: each side simply
-      // discloses its own newest, and both use the minimum.
-      WireHello ack;
-      ack.max_version = options_.max_wire_version;
-      return SendCounted(conn, WireOp::kHelloAck, &ack, sizeof(ack));
-    }
-
     case WireOp::kSampleRuns: {
       if (frame.payload.size() < sizeof(WireSampleRunsRequest)) {
         SendErrorCounted(
@@ -207,9 +187,6 @@ bool NodeServer::HandleFrame(TcpConnection* conn, const WireFrame& frame) {
       auto found = FindExport(name);
       if (!found.ok()) return SendErrorCounted(conn, found.status());
       const ExportedDataset& dataset = **found;
-      // Untyped export: the node cannot sample what it cannot interpret;
-      // the client falls back to v1 range streaming.
-      if (!dataset.sample_runs) return SendErrorCounted(conn, Untyped(name));
       auto payload =
           dataset.sample_runs(request, options_.max_compute_run_bytes);
       if (!payload.ok()) {
@@ -241,7 +218,6 @@ bool NodeServer::HandleFrame(TcpConnection* conn, const WireFrame& frame) {
       auto found = FindExport(name);
       if (!found.ok()) return SendErrorCounted(conn, found.status());
       const ExportedDataset& dataset = **found;
-      if (!dataset.exact_pass) return SendErrorCounted(conn, Untyped(name));
       const uint64_t bracket_bytes =
           frame.payload.size() - sizeof(request) - request.name_len;
       if (bracket_bytes !=
@@ -272,7 +248,8 @@ bool NodeServer::HandleFrame(TcpConnection* conn, const WireFrame& frame) {
       auto found = FindExport(name);
       if (!found.ok()) return SendErrorCounted(conn, found.status());
       const ExportedDataset& dataset = **found;
-      // The v4 client falls back to kReadRange streaming.
+      // Answered for every export: this is how a client learns the storage
+      // and so the one pull op to stream it with.
       if (dataset.extent_elements == 0) {
         return SendErrorCounted(conn, NotExtents(name));
       }

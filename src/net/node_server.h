@@ -25,22 +25,20 @@
 namespace opaq {
 
 /// One dataset a node exports, type-erased: the server only needs the
-/// geometry plus a bounds-checked element reader — it never interprets the
-/// elements, so a single node can serve any key type (and any storage
-/// layout: plain files, striped arrays, custom devices) uniformly.
+/// geometry plus the hooks below — it never interprets the elements, so a
+/// single node can serve any key type (and any storage layout: plain files,
+/// striped arrays, compressed extents, live directories) uniformly.
+///
+/// Every export binds the compute hooks (`TypedExport` does) and exactly
+/// one pull op, chosen by its storage: `read_stored_extent` for compressed
+/// extents, `read` for everything else. `NodeServer::Export` checks both.
 struct ExportedDataset {
   uint32_t key_type = 0;
   uint32_t element_size = 0;
   uint64_t element_count = 0;
-  /// Reads `count` elements starting at `first` into `out` (already
-  /// bounds-checked by the server against `element_count`).
-  std::function<Status(uint64_t first, uint64_t count, void* out)> read;
-  /// Optional v2 compute hooks: run the paper's sample phase / §4 filter
-  /// scan over this dataset's runs and return the complete response payload
-  /// (see node_compute.h). The typed `Export` overloads bind these; an
-  /// untyped export leaves them empty, and the node then answers compute
-  /// requests with Unimplemented so a v2 client falls back to v1 range
-  /// streaming for that dataset. `max_run_bytes` is the server's
+  /// The v2 compute hooks: run the paper's sample phase / §4 filter scan
+  /// over this dataset's runs and return the complete response payload
+  /// (see node_compute.h). `max_run_bytes` is the server's
   /// `max_compute_run_bytes` bound.
   std::function<Result<std::vector<uint8_t>>(
       const WireSampleRunsRequest& request, uint64_t max_run_bytes)>
@@ -49,14 +47,16 @@ struct ExportedDataset {
       const WireExactPassRequest& request, const uint8_t* bracket_bytes,
       uint64_t max_run_bytes)>
       exact_pass;
-  /// Optional v4 extent hooks, bound when the export is stored as
+  /// The `kReadRange` pull: reads `count` elements starting at `first` into
+  /// `out` (already bounds-checked by the server against `element_count`).
+  /// Empty for extent exports.
+  std::function<Status(uint64_t first, uint64_t count, void* out)> read;
+  /// The v4 `kReadExtents` pull, bound when the export is stored as
   /// compressed extents (io/extent.h): the geometry `kOpenExtents`
   /// discloses, and a reader that appends the stored (packed) bytes of one
   /// logical extent to `out` — shipped verbatim, decoded client-side.
   /// `extent_elements == 0` means "not an extent export"; the node then
-  /// answers `kOpenExtents` with Unimplemented and a v4 client falls back
-  /// to `kReadRange` streaming (extent exports keep a `read` hook too, so
-  /// v1-v3 clients are served decoded ranges as always).
+  /// answers `kOpenExtents` and `kReadExtents` with Unimplemented.
   uint64_t extent_elements = 0;
   uint64_t num_extents = 0;
   uint16_t extent_codec = 0;
@@ -124,12 +124,6 @@ struct NodeServerOptions {
   /// Artificial delay before every response frame — the latency-injectable
   /// loopback transport the remote-vs-local benches are built on. 0 = off.
   double response_delay_seconds = 0;
-  /// Newest protocol version this node answers. Frames announcing a newer
-  /// version are rejected with an error frame mentioning "version" — the
-  /// signal a v2 client's `kHello` probe reads as "speak v1". Lower to 1 to
-  /// emulate a pre-compute node (tests and the bench's v1 rows do). Must be
-  /// in [1, kMaxWireVersion]; `Start` rejects anything else.
-  uint16_t max_wire_version = kMaxWireVersion;
   /// Per-request bound on the node-side run buffer a `kSampleRuns` /
   /// `kExactPass` may ask for (`run_size * element_size`). Compute runs
   /// node-side, so this is a memory bound, not a frame bound — hence far
@@ -140,8 +134,8 @@ struct NodeServerOptions {
 };
 
 /// `opaq_noded`'s engine: serves exported datasets over the wire protocol
-/// (v1 range streaming, and — for typed exports — the v2 compute ops) with
-/// one thread per connection (the paper's workload is few long sequential
+/// (the v2 compute ops, plus one pull op per export: v1 range reads or v4
+/// stored extents) with one thread per connection (the paper's workload is few long sequential
 /// streams per node, not thousands of short ones). The transport half —
 /// accept loop, frame validation, counters, ordered shutdown — lives in
 /// `FrameServer`; this class is the dataset registry plus the per-op
@@ -161,12 +155,13 @@ class NodeServer : public FrameServer {
   ~NodeServer() override;
 
   /// Registers `dataset` under `name` (before `Start` only) and returns
-  /// the registered copy.
+  /// the registered copy. CHECKs that the compute hooks and exactly one
+  /// pull op are bound (see `ExportedDataset`).
   const ExportedDataset& Export(const std::string& name,
                                 ExportedDataset dataset);
 
-  /// Exports a typed plain data file. Typed exports are full compute
-  /// nodes: the v2 `kSampleRuns` / `kExactPass` hooks run over the same
+  /// Exports a typed plain data file. Every export is a full compute
+  /// node: the v2 `kSampleRuns` / `kExactPass` hooks run over the same
   /// `FileRunProvider` local mode uses (sync and async alike). The file is
   /// borrowed unless `owner` keeps it (and its devices) alive — what
   /// `opaq_noded` passes for the files it opens. Returns the registered
@@ -193,12 +188,10 @@ class NodeServer : public FrameServer {
   }
 
   /// Exports a compressed extent file, plain or striped (borrowed unless
-  /// `owner`). Serves all four client generations of the same logical
-  /// dataset: v1 `kReadRange` decodes node-side
-  /// (`ExtentFile::ReadElements`), v2 compute runs over the
-  /// extent-decoding provider, and v4 `kReadExtents` ships the stored
-  /// extents verbatim so the wire carries packed bytes and the client
-  /// decodes on its own streaming thread.
+  /// `owner`). Compute runs over the extent-decoding provider, and the one
+  /// pull op is v4 `kReadExtents`: the stored extents ship verbatim, so the
+  /// wire carries packed bytes and the client decodes on its own streaming
+  /// thread. The node never decodes ranges for a client.
   template <typename K>
   const ExportedDataset& Export(const std::string& name,
                                 const ExtentFile* file,
@@ -208,9 +201,6 @@ class NodeServer : public FrameServer {
     ExportedDataset dataset = TypedExport<K>(file->size(), [file] {
       return std::make_unique<ExtentFileProvider<K>>(file);
     });
-    dataset.read = [file](uint64_t first, uint64_t count, void* out) {
-      return file->ReadElements(first, count, out);
-    };
     dataset.extent_elements = file->extent_elements();
     dataset.num_extents = file->num_extents();
     dataset.extent_codec = static_cast<uint16_t>(file->default_codec());
@@ -225,11 +215,6 @@ class NodeServer : public FrameServer {
     return Export(name, std::move(dataset));
   }
 
-  /// Exports an untyped data file, borrowed: any key type without template
-  /// dispatch, but range streaming only — the node answers the v2 compute
-  /// ops with Unimplemented, so clients fall back to v1 streaming.
-  void Export(const std::string& name, const DataFile* file);
-
  protected:
   Status ValidateStart() override;
   /// Handles one request frame; returns false when the connection must
@@ -239,7 +224,7 @@ class NodeServer : public FrameServer {
   void PublishMetrics(MetricsRegistry* registry) override;
 
  private:
-  /// The plain and striped exports: typed element reads plus the compute
+  /// The plain and striped exports: the `kReadRange` pull plus the compute
   /// hooks over a `Provider` made per request.
   template <typename K, typename Provider, typename File>
   const ExportedDataset& ExportFile(const std::string& name, const File* file,

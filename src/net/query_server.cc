@@ -10,7 +10,6 @@ FrameServerOptions ToFrameOptions(const QueryServerOptions& options) {
   frame_options.bind_address = options.bind_address;
   frame_options.port = options.port;
   frame_options.response_delay_seconds = options.response_delay_seconds;
-  frame_options.max_wire_version = options.max_wire_version;
   frame_options.metrics = options.metrics;
   return frame_options;
 }
@@ -30,12 +29,6 @@ Status QueryServer::ValidateStart() {
     return Status::FailedPrecondition(
         "a query daemon with nothing to serve serves no purpose; call "
         "Serve before Start");
-  }
-  if (options_.max_wire_version < kQueryWireVersion) {
-    return Status::InvalidArgument(
-        "max_wire_version of " + std::to_string(options_.max_wire_version) +
-        " cannot carry the query ops; they need version " +
-        std::to_string(kQueryWireVersion));
   }
   if (options_.exact_admission_delay_seconds < 0) {
     return Status::InvalidArgument(
@@ -79,17 +72,6 @@ bool QueryServer::HandleFrame(TcpConnection* conn, const WireFrame& frame) {
   switch (static_cast<WireOp>(frame.op)) {
     case WireOp::kPing:
       return SendCounted(conn, WireOp::kPong, nullptr, 0);
-
-    case WireOp::kHello: {
-      if (frame.payload.size() < sizeof(WireHello)) {
-        SendErrorCounted(conn, Status::IoError(
-                                   "HELLO payload shorter than its header"));
-        return false;  // framing is off; close
-      }
-      WireHello ack;
-      ack.max_version = frame_options().max_wire_version;
-      return SendCounted(conn, WireOp::kHelloAck, &ack, sizeof(ack));
-    }
 
     case WireOp::kOpenSession: {
       // An unknown name is recoverable: a client probing names keeps its

@@ -37,8 +37,6 @@ struct QueryServerOptions {
   /// Artificial delay before every response frame (latency injection for
   /// benches). 0 = off.
   double response_delay_seconds = 0;
-  /// Newest protocol version this server answers; see FrameServerOptions.
-  uint16_t max_wire_version = kMaxWireVersion;
   /// Batching window for exact-flagged requests: how long the pass leader
   /// waits for stragglers before snapshotting the admission queue and
   /// running the shared §4 second pass. 0 (default) = run immediately;
@@ -109,32 +107,43 @@ class QueryServer : public FrameServer {
   /// — it sketches only the segments appended since the serving epoch and
   /// `Absorb`s their sample list into a copy of the session (associative
   /// merge, byte-identical to a full rebuild), so a refresh costs one pass
-  /// over the delta, not the dataset. A dataset that shrank below the
-  /// serving session (recreated) fails the refresher with
+  /// over the delta, not the dataset. A recreated directory — its
+  /// manifest's creation nonce differs from the one the serving epoch was
+  /// built from — or one that shrank fails the refresher with
   /// FailedPrecondition, which `Refresh` answers with a full rebuild.
-  /// Only the element count is compared: a directory recreated with at
-  /// least as many elements is NOT detected and is served as the old
-  /// sketch plus a tail, so recreate it under a new name or restart.
   template <typename K>
   Status ServeLive(const std::string& name, const std::string& dir,
                    const OpaqConfig& config) {
-    auto builder = [dir, config]() -> Result<QuerySession<K>> {
+    auto built_nonce = std::make_shared<std::atomic<uint64_t>>(0);
+    auto builder = [dir, config, built_nonce]() -> Result<QuerySession<K>> {
+      // The nonce is read BEFORE the build: a directory recreated mid-build
+      // then shows the next refresh a nonce it does not know, and that
+      // refresh rebuilds again.
+      auto info = ReadLiveManifestInfo(dir);
+      if (!info.ok()) return info.status();
       auto source = Source<K>::OpenLive(dir);
       if (!source.ok()) return source.status();
-      return Engine<K>(config, std::move(source).value()).Build();
+      auto session = Engine<K>(config, std::move(source).value()).Build();
+      if (session.ok()) built_nonce->store(info->nonce);
+      return session;
     };
-    auto refresher = [dir, config](const QuerySession<K>& current)
+    auto refresher = [dir, config, built_nonce](const QuerySession<K>& current)
         -> Result<QuerySession<K>> {
       auto info = ReadLiveManifestInfo(dir);
       if (!info.ok()) return info.status();
+      if (info->nonce != built_nonce->load()) {
+        return Status::FailedPrecondition(
+            "live dataset in " + dir +
+            " was recreated since the serving epoch; needs a full rebuild");
+      }
       const uint64_t have = current.total_elements();
       if (info->total_elements == have) {
         return current;  // no new segments; re-serve the same sketch
       }
       if (info->total_elements < have) {
         return Status::FailedPrecondition(
-            "live dataset shrank below the serving session (recreated?); "
-            "needs a full rebuild");
+            "live dataset shrank below the serving session; needs a full "
+            "rebuild");
       }
       // `have` is a segment boundary (appends commit whole segments), so
       // the tail's run grid equals sketching the new segments alone and

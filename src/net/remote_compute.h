@@ -28,17 +28,15 @@ namespace opaq {
 ///
 /// Each call dials its own connection, like `RemoteRunProvider::OpenRuns`
 /// — the methods are const and safe to call concurrently from the engine's
-/// shard threads. Failure semantics: a node that answers Unimplemented
-/// (untyped export, or a dataset it cannot compute over) surfaces that code
-/// verbatim, which callers treat as "fall back to v1 range streaming";
-/// every other error (node death mid-request, corrupt response payloads,
-/// the node's own disk failing) propagates as the `Status` it is.
+/// shard threads. Every export answers the compute ops, so every error
+/// (node death mid-request, corrupt response payloads, the node's own disk
+/// failing) propagates as the `Status` it is.
 template <typename K>
 class RemoteComputeClient {
  public:
   /// `spec`/`options` as validated by `RemoteRunProvider::Connect` (the
-  /// facade constructs this only after the handshake admitted the dataset's
-  /// key type and a `kHello` probe negotiated version >= 2).
+  /// facade constructs this only after the handshake admitted the node's
+  /// version and the dataset's key type).
   RemoteComputeClient(RemoteSpec spec, NodeClientOptions options)
       : spec_(std::move(spec)), options_(std::move(options)) {}
 

@@ -49,10 +49,15 @@ namespace opaq {
 /// latency histograms self-hosted on the paper's own sample-list sketch
 /// (see net/wire_stats.h for the payload codec). Each op's frame header
 /// carries the op's own minimum version (v1 ops stay version 1, compute
-/// ops stay version 2), so an older peer rejects exactly the frames it
-/// cannot serve: a newer client probes with `kHello` and downgrades when
-/// the node answers with a version error (see README's compatibility
-/// matrix).
+/// ops stay version 2), so the goldens stay byte-stable and an older peer
+/// rejects exactly the frames it cannot serve.
+///
+/// Version 4 is the floor for data nodes: a client opens every remote
+/// dataset with one `kHello` handshake and refuses a node that acks less
+/// (or fails the handshake) with a clean error — there is no downgrade.
+/// Every export answers the compute ops and is streamed through exactly
+/// one pull op chosen by its storage: `kReadExtents` for compressed extent
+/// exports, `kReadRange` for plain, striped and live ones.
 ///
 /// The protocol is a strict request/response alternation per frame, but
 /// clients may PIPELINE requests: send k `kReadRange` frames back to back,
@@ -104,6 +109,11 @@ inline constexpr uint16_t kStatsWireVersion = 6;
 
 /// The newest protocol version this build speaks.
 inline constexpr uint16_t kMaxWireVersion = kStatsWireVersion;
+
+/// The oldest data node a client works with: the handshake refuses a node
+/// that acks less, since every export is served with the compute ops and
+/// extent exports only through `kReadExtents`.
+inline constexpr uint16_t kMinNodeWireVersion = kExtentWireVersion;
 
 /// Hard cap on a frame payload: protects both sides from allocation bombs
 /// when a corrupted or hostile header claims an absurd length. The server's
@@ -198,7 +208,7 @@ static_assert(std::is_trivially_copyable_v<WireReadRange>);
 /// and validate every stored extent it receives (the stored headers are
 /// NEVER trusted for buffer sizing; see `DecodeStoredExtent`). A node
 /// answers `kOpenExtents` with Unimplemented when the dataset is not stored
-/// as extents — the signal to fall back to `kReadRange` streaming.
+/// as extents — that dataset is served through `kReadRange` instead.
 /// `max_extents_per_read` is the node's per-request bound on `kReadExtents`.
 struct WireExtentInfo {
   uint32_t key_type = 0;      // KeyType tag, matches data-file headers
@@ -225,10 +235,10 @@ static_assert(sizeof(WireReadExtents) == 16);
 static_assert(std::is_trivially_copyable_v<WireReadExtents>);
 
 /// `kHello` / `kHelloAck` payload: each side announces the newest protocol
-/// version it speaks; the effective version is the minimum of the two. A
-/// v1-only node never parses this — it rejects the version-2 frame header
-/// itself with an error frame mentioning "version", which a v2 client
-/// treats as "speak v1" (fallback to range streaming).
+/// version it speaks. A client refuses a node whose ack is below
+/// `kMinNodeWireVersion`; a v1-only node never parses this — it rejects the
+/// version-2 frame header itself with an error frame, which the client
+/// reports as a failed handshake.
 struct WireHello {
   uint16_t max_version = kMaxWireVersion;
   uint16_t reserved = 0;

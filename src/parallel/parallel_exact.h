@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/estimator.h"
@@ -63,19 +64,25 @@ Result<std::vector<K>> ParallelExactQuantiles(
     }
   }
 
-  // Combine at the root: total below-counts and every shard's kept
-  // elements merged into one accumulator, then the same selection the
-  // single-source pass runs.
-  internal_exact::BracketAccumulator<K> merged(estimates.size());
-  merged.below = collectives::AllReduceSumU64(ctx, local.below);
+  // Combine at the root: every shard's below-counts and kept elements fold
+  // into one accumulator, then the same selection the single-source pass
+  // runs.
+  const std::vector<std::vector<uint64_t>> below =
+      collectives::GatherVectors(ctx, 0, local.below);
+  std::vector<std::vector<std::vector<K>>> kept(
+      ctx.size(), std::vector<std::vector<K>>(estimates.size()));
   for (size_t q = 0; q < estimates.size(); ++q) {
     std::vector<std::vector<K>> shards =
         collectives::GatherVectors(ctx, 0, local.kept[q]);
-    for (auto& shard : shards) {
-      merged.kept[q].insert(merged.kept[q].end(), shard.begin(), shard.end());
+    for (size_t r = 0; r < shards.size(); ++r) {
+      kept[r][q] = std::move(shards[r]);
     }
   }
   if (ctx.rank() != 0) return std::vector<K>{};
+  internal_exact::BracketAccumulator<K> merged(estimates.size());
+  for (int r = 0; r < ctx.size(); ++r) {
+    merged.Merge(below[r], std::move(kept[r]));
+  }
   return internal_exact::SelectWithinBrackets(estimates, &merged);
 }
 

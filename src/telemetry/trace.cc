@@ -1,5 +1,6 @@
 #include "telemetry/trace.h"
 
+#include <atomic>
 #include <chrono>
 #include <functional>
 #include <sstream>
@@ -61,16 +62,27 @@ void FlightRecorder::Record(TraceStage stage, uint64_t start_ns,
   stage_ns_[index].fetch_add(duration_ns, std::memory_order_relaxed);
 
   Slot& slot = slots_[next_.fetch_add(1, std::memory_order_relaxed) & mask_];
-  // Per-slot seqlock: bump to odd, write payload, bump to even. Two writers
-  // lapping each other on the same slot (a full ring wrap mid-write) leave
-  // the seq transiently mismatched; readers discard such slots.
-  slot.seq.fetch_add(1, std::memory_order_acq_rel);
+  // Per-slot seqlock: claim the slot by moving `seq` from even to odd with
+  // a CAS, write the payload, then publish the next even value. A writer
+  // that finds the slot busy (another writer lapped the ring onto it and
+  // is mid-payload) drops this ring entry instead of interleaving its
+  // payload with the other's; the stage totals above still count it.
+  uint64_t seq = slot.seq.load(std::memory_order_relaxed);
+  if ((seq & 1) != 0 ||
+      !slot.seq.compare_exchange_strong(seq, seq + 1,
+                                        std::memory_order_acquire,
+                                        std::memory_order_relaxed)) {
+    return;
+  }
+  // Orders the odd `seq` before the payload stores for every reader that
+  // observes any of them (pairs with the fence in `Events`).
+  std::atomic_thread_fence(std::memory_order_release);
   slot.start_ns.store(start_ns, std::memory_order_relaxed);
   slot.duration_ns.store(duration_ns, std::memory_order_relaxed);
   slot.meta.store((static_cast<uint64_t>(HashedThreadId()) << 8) |
                       static_cast<uint64_t>(stage),
                   std::memory_order_relaxed);
-  slot.seq.fetch_add(1, std::memory_order_release);
+  slot.seq.store(seq + 2, std::memory_order_release);
 }
 
 std::vector<TraceEvent> FlightRecorder::Events() const {
@@ -88,7 +100,10 @@ std::vector<TraceEvent> FlightRecorder::Events() const {
     event.start_ns = slot.start_ns.load(std::memory_order_relaxed);
     event.duration_ns = slot.duration_ns.load(std::memory_order_relaxed);
     const uint64_t meta = slot.meta.load(std::memory_order_relaxed);
-    if (slot.seq.load(std::memory_order_acquire) != before) continue;
+    // Keeps the payload loads before the re-check: a payload written by a
+    // later claim of this slot then shows up as a changed `seq`.
+    std::atomic_thread_fence(std::memory_order_acquire);
+    if (slot.seq.load(std::memory_order_relaxed) != before) continue;
     event.tid = static_cast<uint32_t>(meta >> 8);
     const uint8_t stage = static_cast<uint8_t>(meta & 0xff);
     if (stage >= kNumTraceStages) continue;  // torn overwrite

@@ -41,10 +41,12 @@ struct TraceEvent {
 };
 
 /// Bounded ring of the most recent spans — the flight recorder. Writers
-/// claim slots with one `fetch_add` and publish through a per-slot seqlock
+/// take tickets with one `fetch_add` and publish through a per-slot seqlock
 /// whose payload fields are themselves relaxed atomics, so concurrent
 /// readers (stats snapshots, trace export) are data-race-free under TSan;
-/// a reader simply discards any slot a writer touched mid-copy.
+/// a reader simply discards any slot a writer touched mid-copy. A writer
+/// whose slot another writer is still filling (the ring wrapped mid-write)
+/// drops its ring entry; the per-stage totals always count every span.
 class FlightRecorder {
  public:
   /// `capacity` is rounded up to a power of two.

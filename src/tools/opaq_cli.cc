@@ -81,14 +81,9 @@ std::vector<FlagSpec> RemoteFlags() {
       {"remote", "", "remote data-node shards",
        "comma-separated host:port/dataset specs (replaces --data; several "
        "specs = one Engine shard per node)"},
-      {"wire-version", "4", "NodeClientOptions::max_wire_version",
-       "newest wire version to speak: 2+ = node-side compute when the node "
-       "supports it, 4 = stream packed extents, 1 = force v1 range "
-       "streaming",
-       false, FlagType::kInt},
       {"node-compute", "1", "NodeClientOptions::node_compute",
-       "0 = skip v2 node-side compute and stream the dataset instead "
-       "(packed extents when the node stores it compressed)",
+       "0 = skip node-side compute and stream the dataset instead (packed "
+       "extents when the node stores it compressed)",
        false, FlagType::kInt},
   };
 }
@@ -388,14 +383,7 @@ Result<std::vector<Source<Key>>> OpenDataSources(const CommandFlags& flags) {
   }
   std::vector<Source<Key>> sources;
   if (remote) {
-    const int64_t wire_version = flags.GetInt("wire-version");
-    if (wire_version < kWireVersion || wire_version > kMaxWireVersion) {
-      return Status::InvalidArgument(
-          "--wire-version must be in [" + std::to_string(kWireVersion) +
-          ", " + std::to_string(kMaxWireVersion) + "]");
-    }
     NodeClientOptions client_options;
-    client_options.max_wire_version = static_cast<uint16_t>(wire_version);
     client_options.node_compute = flags.GetInt("node-compute") != 0;
     std::stringstream ss(flags.GetString("remote"));
     std::string spec;

@@ -1,16 +1,17 @@
 // opaq_noded — the OPAQ data-node daemon: exports local datasets (plain,
 // striped, or compressed-extent files, any key type) over the wire
 // protocol so remote `Engine`s can consume them as shards via
-// `Source::OpenRemote`. Every export is typed, so the node is a full v2
+// `Source::OpenRemote`. Every export is typed, so the node is a full
 // COMPUTE node: it answers `SampleRuns` / `ExactPass` by running the
 // paper's sample phase and §4 filter scan over its own disks and shipping
-// only the O(s) results; v1 clients (and `--max-wire-version=1` nodes)
-// still stream raw ranges. Extent exports additionally answer the v4
-// `kReadExtents` op: the stored (packed) extents ship verbatim and the
-// client decodes, so compression cuts bytes-on-wire too. The on-disk
-// format and key type are read from each export's header — point --export
-// at any OPAQ file; `NodeServer`'s typed `Export` overloads bind the
-// compute hooks, so this file only opens files and prints.
+// only the O(s) results. Clients that stream instead pull each export
+// through one op: extent exports ship their stored (packed) extents
+// verbatim (`kReadExtents`) and the client decodes, so compression cuts
+// bytes-on-wire too; plain, striped and live exports serve element ranges
+// (`kReadRange`). Clients need wire v4 or newer. The on-disk format and
+// key type are read from each export's header — point --export at any OPAQ
+// file; `NodeServer`'s typed `Export` overloads bind the compute hooks, so
+// this file only opens files and prints.
 //
 //   opaq_noded --export=sales=/data/sales.opaq --port=34601
 //   opaq_noded --export=logs=/d0/l.s0+/d1/l.s1+/d2/l.s2   # striped dataset
@@ -56,8 +57,8 @@ const CommandSpec& Spec() {
       "opaq_noded",
       nullptr,
       "serves local OPAQ datasets to remote engines over TCP (wire protocol "
-      "v1 range streaming, v2 node-side compute, v4 packed extents, v5 "
-      "appends, v6 stats)",
+      "v6: node-side compute, range or packed-extent streaming, appends, "
+      "stats; clients need v4 or newer)",
       nullptr,
       Concat({
           {"export", "", "NAME=PATH[+PATH...][,NAME=PATH...]",
@@ -72,10 +73,6 @@ const CommandSpec& Spec() {
            std::to_string(NodeServerOptions().max_read_bytes),
            "NodeServerOptions::max_read_bytes", "per-request read bound",
            false, FlagType::kInt, 1},
-          {"max-wire-version", std::to_string(kMaxWireVersion),
-           "NodeServerOptions::max_wire_version",
-           "cap the protocol (1 = emulate a v1-only node)", false,
-           FlagType::kInt, kWireVersion, kMaxWireVersion},
       }, ServingFlags("34601"))};
   return kSpec;
 }
@@ -160,8 +157,6 @@ int Main(int argc, char** argv) {
   options.bind_address = args.GetString("bind");
   options.port = static_cast<uint16_t>(args.GetInt("port"));
   options.max_read_bytes = static_cast<uint64_t>(args.GetInt("max-read-bytes"));
-  options.max_wire_version =
-      static_cast<uint16_t>(args.GetInt("max-wire-version"));
   options.response_delay_seconds = args.GetDouble("delay-ms") / 1000.0;
 
   NodeServer server(options);
@@ -202,9 +197,9 @@ int Main(int argc, char** argv) {
   if (!signals.ok()) return Fail(signals);
   Status started = server.Start();
   if (!started.ok()) return Fail(started);
-  std::cout << "serving on " << server.address() << " (protocol v1.."
-            << options.max_wire_version
-            << ", unauthenticated; trusted networks only)" << std::endl;
+  std::cout << "serving on " << server.address() << " (protocol v"
+            << kMaxWireVersion << ", clients v" << kMinNodeWireVersion
+            << "+, unauthenticated; trusted networks only)" << std::endl;
 
   // Serve until --duration elapses or a signal arrives, whichever first
   // (printing stats every --stats-interval seconds on the way); either way

@@ -189,7 +189,7 @@ int Main(int argc, char** argv) {
   Status started = server.Start();
   if (!started.ok()) return Fail(started);
   std::cout << "serving on " << server.address() << " (protocol v"
-            << kQueryWireVersion << ".." << options.max_wire_version
+            << kQueryWireVersion << ".." << kMaxWireVersion
             << ", unauthenticated; trusted networks only)" << std::endl;
 
   // Background epoch refresher: rebuild every session each interval and

@@ -30,7 +30,6 @@
 #include "io/striped_run_source.h"
 #include "io/tempdir.h"
 #include "net/node_server.h"
-#include "net/remote_extent_source.h"
 #include "net/remote_source.h"
 #include "opaq/engine.h"
 #include "opaq/query.h"
@@ -223,22 +222,14 @@ void ExpectAllBackendsAgree(const SweepCase& c) {
         << c.Describe() << " remote/" << remote_name << " async";
 
     // Wire v4 extent streaming: packed extents on the wire, decoded client
-    // side — and a v1 range stream of the SAME compressed export (the node
-    // decodes server-side). Both must leave the reference bytes.
+    // side, must leave the reference bytes.
     auto remote_extent =
-        RemoteExtentProvider<Key>::Connect(node.address() + "/extent");
+        RemoteRunProvider<Key>::Connect(node.address() + "/extent");
     OPAQ_CHECK_OK(remote_extent.status());
     EXPECT_EQ(SketchBytes(*remote_extent, c, IoMode::kSync, 2), reference)
         << c.Describe() << " remote-extent x" << stripes << " sync";
     EXPECT_EQ(SketchBytes(*remote_extent, c, IoMode::kAsync, 2), reference)
         << c.Describe() << " remote-extent x" << stripes << " async";
-    auto remote_extent_v1 =
-        RemoteRunProvider<Key>::Connect(node.address() + "/extent");
-    OPAQ_CHECK_OK(remote_extent_v1.status());
-    EXPECT_EQ(SketchBytes(*remote_extent_v1, c, IoMode::kAsync, 2),
-              reference)
-        << c.Describe() << " remote-extent x" << stripes
-        << " via v1 range stream";
 
     // The same equalities must hold when the facade drives the pass: an
     // Engine over a Source wrapping each backend — plain file, striped
@@ -274,31 +265,29 @@ void ExpectAllBackendsAgree(const SweepCase& c) {
                                   IoMode::kSync, 2),
                 reference)
           << c.Describe() << " Engine/Source in-memory";
-      // Wire v2 (default: the node computes the sample list itself and
-      // ships O(s) bytes) and forced v1 (the client streams raw runs) must
-      // BOTH leave the reference bytes — the strongest statement that the
-      // distributed sample phase is the same computation.
+      // Node compute (default: the node computes the sample list itself
+      // and ships O(s) bytes) and streaming (the client pulls raw runs)
+      // must BOTH leave the reference bytes — the strongest statement that
+      // the distributed sample phase is the same computation.
       auto remote_source = Source<Key>::OpenRemote(node.address() + "/plain");
       OPAQ_CHECK_OK(remote_source.status());
       EXPECT_NE(remote_source->remote_compute(), nullptr) << c.Describe();
       EXPECT_EQ(EngineSketchBytes(*remote_source, c, IoMode::kAsync, 2),
                 reference)
-          << c.Describe() << " Engine/Source remote (wire v2)";
-      NodeClientOptions v1_only;
-      v1_only.max_wire_version = 1;
-      auto remote_v1 =
-          Source<Key>::OpenRemote(node.address() + "/plain", v1_only);
-      OPAQ_CHECK_OK(remote_v1.status());
-      EXPECT_EQ(remote_v1->remote_compute(), nullptr) << c.Describe();
-      EXPECT_EQ(EngineSketchBytes(*remote_v1, c, IoMode::kAsync, 2),
-                reference)
-          << c.Describe() << " Engine/Source remote (forced v1)";
-      // Compressed export, compute disabled: the engine must fall back to
-      // STREAMING the dataset as wire-v4 packed extents, decode them
-      // client side, and still leave the reference bytes — with the
-      // unpack accounting proving the packed path actually ran.
+          << c.Describe() << " Engine/Source remote (node compute)";
       NodeClientOptions stream_only;
       stream_only.node_compute = false;
+      auto remote_stream =
+          Source<Key>::OpenRemote(node.address() + "/plain", stream_only);
+      OPAQ_CHECK_OK(remote_stream.status());
+      EXPECT_EQ(remote_stream->remote_compute(), nullptr) << c.Describe();
+      EXPECT_EQ(EngineSketchBytes(*remote_stream, c, IoMode::kAsync, 2),
+                reference)
+          << c.Describe() << " Engine/Source remote (streamed)";
+      // Compressed export, compute disabled: the engine must STREAM the
+      // dataset as wire-v4 packed extents, decode them client side, and
+      // still leave the reference bytes — with the unpack accounting
+      // proving the packed path actually ran.
       auto remote_packed = Source<Key>::OpenRemote(
           node.address() + "/extent", stream_only);
       OPAQ_CHECK_OK(remote_packed.status());
@@ -530,7 +519,7 @@ TEST(BackendConformanceTest, QuantilesAndExactPassAgreeAcrossBackends) {
   // The §4 exact pass streaming wire-v4 PACKED extents, decoded client
   // side, lands on the same exact values.
   auto remote_packed =
-      RemoteExtentProvider<Key>::Connect(node.address() + "/packed");
+      RemoteRunProvider<Key>::Connect(node.address() + "/packed");
   ASSERT_TRUE(remote_packed.ok()) << remote_packed.status().ToString();
   for (IoMode mode : {IoMode::kSync, IoMode::kAsync}) {
     ReadOptions options = sync_options;
@@ -564,17 +553,18 @@ TEST(BackendConformanceTest, QuantilesAndExactPassAgreeAcrossBackends) {
   }
   EXPECT_EQ(batch->results[0].exact, *exact_plain);
 
-  // And once more with the facade on the WIRE, under BOTH protocol
-  // versions: wire v2 (node-side sampling + distributed §4 exact pass) and
-  // forced v1 (range streaming) answer the identical batch, exact values
-  // included — the wire moves the work OR the data, never the answers.
+  // And once more with the facade on the WIRE, both ways: node compute
+  // (node-side sampling + distributed §4 exact pass) and streaming (range
+  // reads) answer the identical batch, exact values included — the wire
+  // moves the work OR the data, never the answers.
   NodeClientOptions client_options;
-  for (uint16_t version : {uint16_t{2}, uint16_t{1}}) {
-    client_options.max_wire_version = version;
+  for (bool compute : {true, false}) {
+    client_options.node_compute = compute;
+    const char* how = compute ? "compute" : "stream";
     auto remote_source =
         Source<Key>::OpenRemote(node.address() + "/data", client_options);
     ASSERT_TRUE(remote_source.ok()) << remote_source.status().ToString();
-    EXPECT_EQ(remote_source->remote_compute() != nullptr, version >= 2);
+    EXPECT_EQ(remote_source->remote_compute() != nullptr, compute);
     auto remote_session =
         Engine<Key>(striped_config, *remote_source).Build();
     ASSERT_TRUE(remote_session.ok()) << remote_session.status().ToString();
@@ -586,12 +576,12 @@ TEST(BackendConformanceTest, QuantilesAndExactPassAgreeAcrossBackends) {
     ASSERT_EQ(wire_estimates.size(), reference_estimates.size());
     for (size_t i = 0; i < reference_estimates.size(); ++i) {
       EXPECT_EQ(wire_estimates[i].lower, reference_estimates[i].lower)
-          << "wire v" << version;
+          << "wire " << how;
       EXPECT_EQ(wire_estimates[i].upper, reference_estimates[i].upper)
-          << "wire v" << version;
+          << "wire " << how;
     }
     EXPECT_EQ(remote_batch->results[0].exact, *exact_plain)
-        << "wire v" << version;
+        << "wire " << how;
   }
 }
 

@@ -21,7 +21,7 @@ set(DATA "${WORK_DIR}/data.opaq")
 # Every declared flag with the default its help must show ("..." = none).
 set(NODED_FLAGS
     "--export=..." "--live=..." "--bind=127.0.0.1" "--port=34601"
-    "--max-read-bytes=4194304" "--max-wire-version=6" "--delay-ms=0"
+    "--max-read-bytes=4194304" "--delay-ms=0"
     "--duration=0" "--stats-interval=0")
 set(QUERYD_FLAGS
     "--serve=..." "--watch=..." "--bind=127.0.0.1" "--port=34602"

@@ -643,6 +643,46 @@ TEST(IngestConcurrencyTest, RefreshAfterTheDatasetShrankRebuildsInFull) {
   server.Stop();
 }
 
+TEST(IngestConcurrencyTest, RecreatedWithMoreDataRebuildsInFull) {
+  // The recreated directory holds MORE elements than the serving session,
+  // so the element count alone looks like growth; only the manifest's
+  // creation nonce tells the refresher this is a new dataset, not the old
+  // one plus a tail.
+  auto tmp = TempDir::Make("opaq-ingest");
+  ASSERT_TRUE(tmp.ok());
+  const std::string dir = tmp->FilePath("live");
+  const OpaqConfig config = SmallConfig();
+  {
+    auto created = LiveDataset<Key>::Create(dir);
+    ASSERT_TRUE(created.ok());
+    ASSERT_TRUE(created->Append(Batch(3000, 310)).ok());
+  }
+  QueryServer server;
+  OPAQ_CHECK_OK(server.ServeLive<Key>("live", dir, config));
+  OPAQ_CHECK_OK(server.Start());
+
+  std::filesystem::remove_all(dir);
+  {
+    auto created = LiveDataset<Key>::Create(dir);
+    ASSERT_TRUE(created.ok());
+    ASSERT_TRUE(created->Append(Batch(5000, 311)).ok());
+  }
+  OPAQ_CHECK_OK(server.Refresh("live"));
+
+  auto client =
+      QueryClient<Key>::Connect("127.0.0.1", server.port(), "live");
+  ASSERT_TRUE(client.ok());
+  EXPECT_EQ(client->info().epoch, 2u);
+  EXPECT_EQ(client->info().total_elements, 5000u);
+  auto remote = DectilePayload(&*client);
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  auto expected = LiveRebuildPayload(dir, config);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  EXPECT_EQ(*remote, *expected)
+      << "the recreated dataset is served as the old sketch plus a tail";
+  server.Stop();
+}
+
 TEST(IngestConcurrencyTest, ConcurrentAppendersSerialiseOnTheNode) {
   auto tmp = TempDir::Make("opaq-ingest");
   ASSERT_TRUE(tmp.ok());

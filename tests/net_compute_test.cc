@@ -1,10 +1,9 @@
-// The v2 compute path end to end: version negotiation (v2 <-> v2, v2 <->
-// v1-capped node, v1-forced client), node-side sampling and §4 exact scans
-// answering byte-identically to the local pipeline over the same data,
-// Unimplemented fallback for untyped exports, hostile/corrupt compute
-// payloads surfacing as Status (never aborts), node death mid-RPC, and the
-// whole point of the extension: an Engine over v2 sources moving an order
-// of magnitude fewer bytes than v1 range streaming.
+// The compute path end to end: the `kHello` handshake, node-side sampling
+// and §4 exact scans answering byte-identically to the local pipeline over
+// the same data, hostile/corrupt compute payloads surfacing as Status
+// (never aborts), node death mid-RPC, and the whole point of the
+// extension: an Engine with node compute moving an order of magnitude
+// fewer bytes than one streaming raw ranges.
 
 #include <gtest/gtest.h>
 
@@ -36,13 +35,11 @@ namespace {
 using Key = uint64_t;
 
 /// One loopback compute node: typed plain export "data" (plus a striped
-/// export "striped" when `stripes` > 1, and the same file re-exported
-/// untyped as "raw" — the node that can only serve bytes for it).
+/// export "striped" when `stripes` > 1).
 struct ComputeNode {
   std::vector<Key> data;
   std::vector<std::unique_ptr<MemoryBlockDevice>> devices;
   std::unique_ptr<TypedDataFile<Key>> file;
-  std::unique_ptr<DataFile> untyped;
   std::unique_ptr<StripedDataFile<Key>> striped;
   NodeServer server;
 
@@ -60,10 +57,6 @@ struct ComputeNode {
     OPAQ_CHECK_OK(opened.status());
     file = std::make_unique<TypedDataFile<Key>>(std::move(opened).value());
     server.Export("data", file.get());
-    auto raw = DataFile::Open(devices.back().get());
-    OPAQ_CHECK_OK(raw.status());
-    untyped = std::make_unique<DataFile>(std::move(raw).value());
-    server.Export("raw", static_cast<const DataFile*>(untyped.get()));
     if (stripes > 1) {
       std::vector<BlockDevice*> raw_devices;
       for (int s = 0; s < stripes; ++s) {
@@ -118,47 +111,7 @@ void ExpectListsEqual(const SampleList<Key>& got, const SampleList<Key>& want,
       << what;
 }
 
-// ------------------------------------------------ version negotiation ----
-
-TEST(NegotiateWireVersionTest, DefaultPeersSpeakTheNewestVersion) {
-  ComputeNode node(100);
-  auto version = NegotiateWireVersion(node.spec(), NodeClientOptions());
-  ASSERT_TRUE(version.ok()) << version.status().ToString();
-  EXPECT_EQ(*version, kMaxWireVersion);
-  EXPECT_GE(*version, kComputeWireVersion);  // compute ops stay available
-}
-
-TEST(NegotiateWireVersionTest, V1CappedNodeNegotiatesDownToV1) {
-  // A node capped at v1 rejects the version-2 kHello header itself —
-  // exactly what a real pre-compute build does — and the client reads that
-  // as "speak v1", not as an error.
-  NodeServerOptions options;
-  options.max_wire_version = 1;
-  ComputeNode node(100, options);
-  auto version = NegotiateWireVersion(node.spec(), NodeClientOptions());
-  ASSERT_TRUE(version.ok()) << version.status().ToString();
-  EXPECT_EQ(*version, 1);
-}
-
-TEST(NegotiateWireVersionTest, V1ForcedClientSkipsTheProbe) {
-  // With the client capped at v1 no probe is sent at all — negotiation
-  // succeeds even against a port nobody listens on.
-  auto listener = TcpListener::Bind("127.0.0.1", 0);
-  ASSERT_TRUE(listener.ok());
-  const uint16_t dead_port = listener->port();
-  listener->Close();
-  RemoteSpec spec;
-  spec.host = "127.0.0.1";
-  spec.port = dead_port;
-  spec.dataset = "data";
-  NodeClientOptions v1_only;
-  v1_only.max_wire_version = 1;
-  auto version = NegotiateWireVersion(spec, v1_only);
-  ASSERT_TRUE(version.ok());
-  EXPECT_EQ(*version, 1);
-  // A v2 client, by contrast, must surface the unreachable node.
-  EXPECT_FALSE(NegotiateWireVersion(spec, NodeClientOptions()).ok());
-}
+// ------------------------------------------------------- handshake ----
 
 TEST(NegotiateWireVersionTest, HelloRoundTripReportsNodeMax) {
   ComputeNode node(100);
@@ -229,75 +182,25 @@ TEST(NodeExactPassTest, NodeSideBudgetIsEnforced) {
   EXPECT_EQ(scan.status().code(), StatusCode::kResourceExhausted);
 }
 
-// ------------------------------------------------- fallback behaviour ----
+// ------------------------------------------------ streaming clients ----
 
-TEST(ComputeFallbackTest, UntypedExportAnswersUnimplemented) {
-  ComputeNode node(5000);
-  RemoteComputeClient<Key> compute(node.spec("raw"), NodeClientOptions());
-  auto list = compute.SampleRuns(SmallConfig());
-  ASSERT_FALSE(list.ok());
-  EXPECT_EQ(list.status().code(), StatusCode::kUnimplemented);
-  auto scan = compute.ExactPass({}, ReadOptions(), 1000);
-  EXPECT_EQ(scan.status().code(), StatusCode::kUnimplemented);
-}
+TEST(ComputeOptionTest, StreamingSourceCarriesNoComputeClient) {
+  // With node compute off the source streams ranges — no compute client —
+  // and still answers exactly as a local run does.
+  ComputeNode node(3000);
+  NodeClientOptions stream_only;
+  stream_only.node_compute = false;
+  auto streamed = Source<Key>::OpenRemote(node.spec().ToString(),
+                                          stream_only);
+  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+  EXPECT_EQ(streamed->remote_compute(), nullptr);
 
-TEST(ComputeFallbackTest, EngineFallsBackToStreamingForUntypedExports) {
-  // The node speaks v2, so OpenRemote attaches a compute client — but the
-  // dataset is exported untyped, so every compute RPC answers
-  // Unimplemented and the engine must quietly stream ranges instead,
-  // with identical results.
-  ComputeNode node(12000);
-  auto typed = Source<Key>::OpenRemote(node.spec().ToString());
-  auto raw = Source<Key>::OpenRemote(node.spec("raw").ToString());
-  ASSERT_TRUE(typed.ok()) << typed.status().ToString();
-  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
-  EXPECT_NE(typed->remote_compute(), nullptr);
-  EXPECT_NE(raw->remote_compute(), nullptr);
-
-  const OpaqConfig config = SmallConfig(IoMode::kAsync);
-  auto typed_session = Engine<Key>(config, *typed).Build();
-  auto raw_session = Engine<Key>(config, *raw).Build();
-  ASSERT_TRUE(typed_session.ok()) << typed_session.status().ToString();
-  ASSERT_TRUE(raw_session.ok()) << raw_session.status().ToString();
-  ExpectListsEqual(raw_session->sample_list(), typed_session->sample_list(),
-                   "untyped-export fallback");
-
-  auto query = [](QuerySession<Key>& session) {
-    auto batch = session.Query({
-        QueryRequest<Key>::EquiQuantiles(10),
-        QueryRequest<Key>::Quantile(0.5, /*exact=*/true),
-    });
-    OPAQ_CHECK_OK(batch.status());
-    return std::move(batch).value();
-  };
-  auto typed_batch = query(*typed_session);
-  auto raw_batch = query(*raw_session);
-  EXPECT_EQ(typed_batch.results[1].exact, raw_batch.results[1].exact);
-}
-
-TEST(ComputeFallbackTest, V1PathsCarryNoComputeClient) {
-  NodeServerOptions v1_node;
-  v1_node.max_wire_version = 1;
-  ComputeNode old_node(3000, v1_node);
-  auto against_old = Source<Key>::OpenRemote(old_node.spec().ToString());
-  ASSERT_TRUE(against_old.ok()) << against_old.status().ToString();
-  EXPECT_EQ(against_old->remote_compute(), nullptr);
-
-  ComputeNode new_node(3000);
-  NodeClientOptions v1_client;
-  v1_client.max_wire_version = 1;
-  auto forced_v1 = Source<Key>::OpenRemote(new_node.spec().ToString(),
-                                           v1_client);
-  ASSERT_TRUE(forced_v1.ok());
-  EXPECT_EQ(forced_v1->remote_compute(), nullptr);
-
-  // Both still answer correctly through v1 range streaming.
   const OpaqConfig config = SmallConfig();
-  FileRunProvider<Key> local(old_node.file.get());
+  FileRunProvider<Key> local(node.file.get());
   SampleList<Key> reference = LocalList(local, config);
-  auto session = Engine<Key>(config, *against_old).Build();
-  ASSERT_TRUE(session.ok());
-  ExpectListsEqual(session->sample_list(), reference, "v1 node");
+  auto session = Engine<Key>(config, *streamed).Build();
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  ExpectListsEqual(session->sample_list(), reference, "streamed");
 }
 
 // --------------------------------------- distributed engine + savings ----
@@ -336,18 +239,21 @@ TEST(EngineComputeTest, DistributedAnswersMatchLocalAndSaveWireBytes) {
           .Build();
   ASSERT_TRUE(local_session.ok());
 
-  // v2 (default) and forced-v1 engines leave identical sample lists...
-  NodeClientOptions v1_client;
-  v1_client.max_wire_version = 1;
-  const uint64_t v2_bytes =
+  // Node-compute (default) and streaming engines leave identical sample
+  // lists...
+  NodeClientOptions stream_only;
+  stream_only.node_compute = false;
+  const uint64_t compute_bytes =
       SamplePhaseBytes(a, b, NodeClientOptions(), config, &*local_session);
-  const uint64_t v1_bytes =
-      SamplePhaseBytes(a, b, v1_client, config, &*local_session);
+  const uint64_t stream_bytes =
+      SamplePhaseBytes(a, b, stream_only, config, &*local_session);
 
-  // ...but v2 ships O(s) sample bytes instead of O(n) raw elements: with
-  // 104k elements vs ~2.6k samples the win must clear 10x easily.
-  EXPECT_GE(v1_bytes, 10 * v2_bytes)
-      << "v1=" << v1_bytes << " bytes, v2=" << v2_bytes << " bytes";
+  // ...but node compute ships O(s) sample bytes instead of O(n) raw
+  // elements: with 104k elements vs ~2.6k samples the win must clear 10x
+  // easily.
+  EXPECT_GE(stream_bytes, 10 * compute_bytes)
+      << "stream=" << stream_bytes << " bytes, compute=" << compute_bytes
+      << " bytes";
 
   // And the full query path (distributed exact pass included) agrees with
   // the local run bracket for bracket, value for value.
@@ -384,8 +290,8 @@ TEST(EngineComputeTest, DistributedAnswersMatchLocalAndSaveWireBytes) {
 // ------------------------------------------------ hostile peers/faults ----
 
 /// A fake node that runs one script per accepted connection, in order —
-/// enough to scriptedly survive OpenRemote's handshake + kHello probe and
-/// then misbehave on the compute RPC itself.
+/// enough to scriptedly survive OpenRemote's handshake and then misbehave
+/// on the compute RPC itself.
 class ScriptedNode {
  public:
   explicit ScriptedNode(std::function<void(TcpConnection&)> script)
@@ -641,34 +547,34 @@ TEST(ComputeFaultTest, NodeValidatesComputeRequests) {
 }
 
 TEST(ComputeFaultTest, EngineSurfacesNodeDeathMidSampleRuns) {
-  // A scripted node that passes OpenRemote's handshake and negotiates v2,
-  // then dies after consuming the SAMPLE_RUNS request: the engine must
-  // report the failure (a non-Unimplemented compute error is NOT silently
-  // retried as v1 — the node is misbehaving, not old).
+  // A scripted node that passes OpenRemote's handshake, then dies after
+  // consuming the SAMPLE_RUNS request: the engine must report the failure,
+  // never quietly stream instead.
   auto handshake = [](TcpConnection& conn) {
+    auto reply = [&conn](WireOp op, const void* payload, size_t size) {
+      std::vector<uint8_t> frame = EncodeFrame(op, payload, size);
+      conn.WriteFull(frame.data(), frame.size());
+    };
+    ConsumeFrame(conn);  // HELLO
+    WireHello ack;
+    reply(WireOp::kHelloAck, &ack, sizeof(ack));
+    ConsumeFrame(conn);  // OPEN_EXTENTS: a plain export
+    std::vector<uint8_t> error = EncodeErrorFrame(
+        Status::Unimplemented("not stored as compressed extents"));
+    conn.WriteFull(error.data(), error.size());
     ConsumeFrame(conn);  // OPEN_DATASET
     WireDatasetInfo info;
     info.key_type = static_cast<uint32_t>(KeyTraits<Key>::kType);
     info.element_size = sizeof(Key);
     info.element_count = 4000;
     info.max_read_elements = 4096;
-    std::vector<uint8_t> frame =
-        EncodeFrame(WireOp::kDatasetInfo, &info, sizeof(info));
-    conn.WriteFull(frame.data(), frame.size());
-  };
-  auto hello = [](TcpConnection& conn) {
-    ConsumeFrame(conn);  // HELLO
-    WireHello ack;
-    ack.max_version = 2;
-    std::vector<uint8_t> frame =
-        EncodeFrame(WireOp::kHelloAck, &ack, sizeof(ack));
-    conn.WriteFull(frame.data(), frame.size());
+    reply(WireOp::kDatasetInfo, &info, sizeof(info));
   };
   auto die_mid_compute = [](TcpConnection& conn) {
     ConsumeFrame(conn);  // SAMPLE_RUNS — then hang up without answering
   };
   ScriptedNode fake(std::vector<std::function<void(TcpConnection&)>>{
-      handshake, hello, die_mid_compute});
+      handshake, die_mid_compute});
 
   auto source = Source<Key>::OpenRemote(fake.spec().ToString());
   ASSERT_TRUE(source.ok()) << source.status().ToString();

@@ -1,6 +1,7 @@
 // Fault injection for the network path: dying nodes, dying disks behind
 // nodes, truncated and corrupted frames, refused connections, key-type
-// skew. Every failure must surface as a sticky `Status` from the client —
+// skew, failed or too-old handshakes, and pull ops an export is not served
+// through. Every failure must surface as a sticky `Status` from the client —
 // no hangs (the suite itself would time out), no aborts, and runs wholly
 // before the failure still delivered. The node, in turn, must survive
 // malformed clients.
@@ -17,6 +18,7 @@
 #include "data/dataset.h"
 #include "io/block_device.h"
 #include "io/data_file.h"
+#include "io/extent.h"
 #include "io/faulty_device.h"
 #include "net/client.h"
 #include "net/node_server.h"
@@ -242,6 +244,90 @@ TEST(NetFailureTest, KeyTypeSkewIsRejectedAtHandshake) {
       RemoteRunProvider<uint64_t>::Connect(server.address() + "/data");
   ASSERT_FALSE(provider.ok());
   EXPECT_EQ(provider.status().code(), StatusCode::kInvalidArgument);
+}
+
+/// The `kHelloAck` a node announcing `max_version` sends.
+void AckHello(TcpConnection& conn, uint16_t max_version) {
+  ConsumeFrame(conn);  // HELLO
+  WireHello ack;
+  ack.max_version = max_version;
+  std::vector<uint8_t> frame =
+      EncodeFrame(WireOp::kHelloAck, &ack, sizeof(ack));
+  conn.WriteFull(frame.data(), frame.size());
+}
+
+TEST(NetFailureTest, FailedHandshakeIsAnErrorNotADowngrade) {
+  // A pre-v2 node rejects the version-2 HELLO frame with an error frame;
+  // the client must report that, never fall back to streaming.
+  ScriptedNode rejecting([](TcpConnection& conn) {
+    ConsumeFrame(conn);  // HELLO
+    std::vector<uint8_t> frame = EncodeErrorFrame(
+        Status::IoError("unsupported wire protocol version 2"));
+    conn.WriteFull(frame.data(), frame.size());
+  });
+  auto rejected = Source<Key>::OpenRemote(
+      "127.0.0.1:" + std::to_string(rejecting.port()) + "/data");
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_NE(rejected.status().message().find("handshake"), std::string::npos)
+      << rejected.status().ToString();
+
+  // A node that never answers HELLO times out as an error too.
+  ScriptedNode silent([](TcpConnection& conn) {
+    ConsumeFrame(conn);  // HELLO — then wait for the client to hang up
+    uint8_t byte = 0;
+    conn.ReadFull(&byte, 1);
+  });
+  NodeClientOptions impatient;
+  impatient.receive_timeout_seconds = 0.2;
+  auto timed_out = Source<Key>::OpenRemote(
+      "127.0.0.1:" + std::to_string(silent.port()) + "/data", impatient);
+  ASSERT_FALSE(timed_out.ok());
+  EXPECT_EQ(timed_out.status().code(), StatusCode::kIoError);
+}
+
+TEST(NetFailureTest, NodeBelowTheWireFloorIsRefused) {
+  ScriptedNode old_node([](TcpConnection& conn) { AckHello(conn, 3); });
+  auto source = Source<Key>::OpenRemote(
+      "127.0.0.1:" + std::to_string(old_node.port()) + "/data");
+  ASSERT_FALSE(source.ok());
+  EXPECT_EQ(source.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(source.status().message().find("v3"), std::string::npos)
+      << source.status().ToString();
+  EXPECT_NE(source.status().message().find(
+                "v" + std::to_string(kMinNodeWireVersion)),
+            std::string::npos)
+      << source.status().ToString();
+}
+
+TEST(NetFailureTest, WrongPullOpIsRecoverable) {
+  // Each export is served through one pull op; asking with the other is a
+  // per-request error and the connection keeps serving.
+  FaultyNode plain(1000, FaultyDevice::Options());
+  std::vector<std::unique_ptr<BlockDevice>> owned;
+  owned.push_back(std::make_unique<MemoryBlockDevice>());
+  ExtentWriterOptions extent_options;
+  extent_options.extent_elements = 256;
+  ASSERT_TRUE(
+      WriteExtents(plain.data, {owned[0].get()}, extent_options).ok());
+  auto extent_file = ExtentFile::Open({owned[0].get()});
+  ASSERT_TRUE(extent_file.ok()) << extent_file.status().ToString();
+  NodeServer server;
+  server.Export<Key>("packed", &*extent_file);
+  server.Export("plain", plain.file.get());
+  ASSERT_TRUE(server.Start().ok());
+
+  auto client = NodeClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+  Key value = 0;
+  Status range = client->ReadRange("packed", 0, 1, &value, sizeof(value));
+  EXPECT_EQ(range.code(), StatusCode::kUnimplemented) << range.ToString();
+  EXPECT_TRUE(client->Ping().ok()) << "connection should survive";
+  ASSERT_TRUE(client->SendReadExtents("plain", 0, 1).ok());
+  auto extents = client->ReceiveExtents();
+  EXPECT_EQ(extents.status().code(), StatusCode::kUnimplemented)
+      << extents.status().ToString();
+  EXPECT_TRUE(client->Ping().ok()) << "connection should survive";
+  server.Stop();
 }
 
 TEST(NetFailureTest, TruncatedHeaderFromNode) {

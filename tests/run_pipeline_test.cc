@@ -26,7 +26,6 @@
 #include "io/striped_run_source.h"
 #include "io/tempdir.h"
 #include "net/node_server.h"
-#include "net/remote_extent_source.h"
 #include "net/remote_source.h"
 
 namespace opaq {
@@ -267,11 +266,10 @@ class RemoteExtentBackend : public Backend {
       : Backend(std::move(data), block), disk_(data_, block, 2) {
     server_.Export<Key>("packed", disk_.file.get());
     OPAQ_CHECK_OK(server_.Start());
-    auto provider = RemoteExtentProvider<Key>::Connect(server_.address() +
-                                                       "/packed");
+    auto provider = RemoteRunProvider<Key>::Connect(server_.address() +
+                                                    "/packed");
     OPAQ_CHECK_OK(provider.status());
-    provider_ =
-        std::make_unique<RemoteExtentProvider<Key>>(std::move(*provider));
+    provider_ = std::make_unique<RemoteRunProvider<Key>>(std::move(*provider));
   }
   const RunProvider<Key>& provider() const override { return *provider_; }
   void BreakAt(uint64_t element) override { disk_.BreakAt(element); }
@@ -279,7 +277,7 @@ class RemoteExtentBackend : public Backend {
  private:
   ExtentDisk disk_;
   NodeServer server_;
-  std::unique_ptr<RemoteExtentProvider<Key>> provider_;
+  std::unique_ptr<RemoteRunProvider<Key>> provider_;
 };
 
 /// A live dataset of three segments — plain, extent-packed, plain — so the

@@ -252,11 +252,11 @@ TEST(FlightRecorderTest, DisabledSpanRecordsNothing) {
   EXPECT_EQ(recorder.StageCount(TraceStage::kMerge), 1u);
 }
 
-TEST(FlightRecorderTest, ConcurrentWritersAndReadersAreConsistent) {
-  // Writers hammer the ring while readers snapshot it. The seqlock must
-  // never yield a torn event: every event a reader sees must be one some
-  // writer actually recorded (stage/duration pairing intact).
-  FlightRecorder recorder(/*capacity=*/64);
+/// Writers hammer a `capacity`-slot ring while a reader snapshots it. The
+/// seqlock must never yield a torn event: every event a reader sees must be
+/// one some writer actually recorded (stage/duration pairing intact).
+void ExpectConcurrentSnapshotsUntorn(size_t capacity) {
+  FlightRecorder recorder(capacity);
   constexpr int kWriters = 4;
   constexpr int kSpansPerWriter = 5000;
   std::atomic<bool> stop{false};
@@ -289,9 +289,25 @@ TEST(FlightRecorderTest, ConcurrentWritersAndReadersAreConsistent) {
   for (std::thread& t : writers) t.join();
   stop.store(true, std::memory_order_release);
   reader.join();
-  EXPECT_EQ(torn.load(), 0u);
+  EXPECT_EQ(torn.load(), 0u) << "capacity " << capacity;
   EXPECT_EQ(recorder.recorded(),
             static_cast<uint64_t>(kWriters) * kSpansPerWriter);
+  // Dropped ring entries still count in the stage totals.
+  uint64_t counted = 0;
+  for (size_t i = 0; i < kNumTraceStages; ++i) {
+    counted += recorder.StageCount(static_cast<TraceStage>(i));
+  }
+  EXPECT_EQ(counted, static_cast<uint64_t>(kWriters) * kSpansPerWriter);
+}
+
+TEST(FlightRecorderTest, ConcurrentWritersAndReadersAreConsistent) {
+  ExpectConcurrentSnapshotsUntorn(/*capacity=*/64);
+}
+
+TEST(FlightRecorderTest, ConcurrentWritersOnATwoSlotRingNeverTear) {
+  // Two slots make writers lap each other constantly — the case where a
+  // blind seq bump let two interleaved payloads pass as one stable slot.
+  ExpectConcurrentSnapshotsUntorn(/*capacity=*/2);
 }
 
 TEST(FlightRecorderTest, ChromeTraceJsonIsWellFormed) {
