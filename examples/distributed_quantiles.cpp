@@ -6,8 +6,8 @@
 // With node compute on (the default) each node runs the paper's sample
 // phase and §4 filter scan itself and ships only sample lists and bracket
 // survivors; under `--node-compute=0` the client streams every run over
-// the wire and computes locally. Either way the punchline of the RunProvider seam
-// holds: the distributed answers are asserted IDENTICAL
+// the wire and computes locally. Either way the punchline of the
+// RunProvider seam holds: the distributed answers are asserted IDENTICAL
 // (bracket-for-bracket, value-for-value) to a single-process run over the
 // same logical data. The network, like prefetching and striping before
 // it, moves time and bytes — never data values.

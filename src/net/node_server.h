@@ -135,11 +135,11 @@ struct NodeServerOptions {
 
 /// `opaq_noded`'s engine: serves exported datasets over the wire protocol
 /// (the v2 compute ops, plus one pull op per export: v1 range reads or v4
-/// stored extents) with one thread per connection (the paper's workload is few long sequential
-/// streams per node, not thousands of short ones). The transport half —
-/// accept loop, frame validation, counters, ordered shutdown — lives in
-/// `FrameServer`; this class is the dataset registry plus the per-op
-/// handlers.
+/// stored extents) with one thread per connection (the paper's workload
+/// is few long sequential streams per node, not thousands of short ones).
+/// The transport half — accept loop, frame validation, counters, ordered
+/// shutdown — lives in `FrameServer`; this class is the dataset registry
+/// plus the per-op handlers.
 ///
 /// Lifecycle: construct, `Export` every dataset, `Start()`, eventually
 /// `Stop()` (idempotent; the destructor calls it). Exports are frozen at

@@ -74,14 +74,14 @@ void FlightRecorder::Record(TraceStage stage, uint64_t start_ns,
                                         std::memory_order_relaxed)) {
     return;
   }
-  // Orders the odd `seq` before the payload stores for every reader that
-  // observes any of them (pairs with the fence in `Events`).
-  std::atomic_thread_fence(std::memory_order_release);
-  slot.start_ns.store(start_ns, std::memory_order_relaxed);
-  slot.duration_ns.store(duration_ns, std::memory_order_relaxed);
+  // Release payload stores: a reader that loads any of them (acquire)
+  // also sees the odd `seq` claimed above on its re-check. (Stand-alone
+  // fences would do the same, but ThreadSanitizer does not model them.)
+  slot.start_ns.store(start_ns, std::memory_order_release);
+  slot.duration_ns.store(duration_ns, std::memory_order_release);
   slot.meta.store((static_cast<uint64_t>(HashedThreadId()) << 8) |
                       static_cast<uint64_t>(stage),
-                  std::memory_order_relaxed);
+                  std::memory_order_release);
   slot.seq.store(seq + 2, std::memory_order_release);
 }
 
@@ -97,12 +97,11 @@ std::vector<TraceEvent> FlightRecorder::Events() const {
     const uint64_t before = slot.seq.load(std::memory_order_acquire);
     if (before == 0 || (before & 1) != 0) continue;  // empty or mid-write
     TraceEvent event;
-    event.start_ns = slot.start_ns.load(std::memory_order_relaxed);
-    event.duration_ns = slot.duration_ns.load(std::memory_order_relaxed);
-    const uint64_t meta = slot.meta.load(std::memory_order_relaxed);
-    // Keeps the payload loads before the re-check: a payload written by a
-    // later claim of this slot then shows up as a changed `seq`.
-    std::atomic_thread_fence(std::memory_order_acquire);
+    // Acquire payload loads keep the re-check after them: a payload
+    // written by a later claim of this slot shows up as a changed `seq`.
+    event.start_ns = slot.start_ns.load(std::memory_order_acquire);
+    event.duration_ns = slot.duration_ns.load(std::memory_order_acquire);
+    const uint64_t meta = slot.meta.load(std::memory_order_acquire);
     if (slot.seq.load(std::memory_order_relaxed) != before) continue;
     event.tid = static_cast<uint32_t>(meta >> 8);
     const uint8_t stage = static_cast<uint8_t>(meta & 0xff);
